@@ -287,6 +287,10 @@ def _cmd_solve(s: Settings) -> int:
             f"{r.iteration:9d}  {r.objective:13.6e}  {r.relative_error:13.6e}  "
             f"{r.step_size:13.6e}  {r.matvecs:7d}"
         )
+    if trace.diverged:
+        raise RuntimeError(
+            f"solver diverged: non-finite objective at iteration {trace.final.iteration}"
+        )
     status = "reached" if trace.final.relative_error <= s.threshold else "missed"
     print(
         f"final relative error {trace.final.relative_error:.6e} "

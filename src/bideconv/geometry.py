@@ -168,21 +168,24 @@ def dist_to_solution_set_many(
 def _matrix_error_squared_many(
     w_stack: np.ndarray, x_stack: np.ndarray, truth: GroundTruth
 ) -> np.ndarray:
-    """||w x^T - w_bar x_bar^T||_F^2 batched, never materializing outer products."""
-    norm_w2 = np.einsum("ij,ij->i", w_stack, w_stack)
-    norm_x2 = np.einsum("ij,ij->i", x_stack, x_stack)
-    cross = (w_stack @ truth.w_bar) * (x_stack @ truth.x_bar)
-    mag2 = truth.magnitude**2
-    return np.maximum(norm_w2 * norm_x2 - 2.0 * cross + mag2, 0.0)
+    """||w x^T - w_bar x_bar^T||_F^2 batched, never materializing outer products.
+
+    With alpha = <w, w_bar> / ||w_bar||^2 the error splits into
+    w_bar (alpha x - x_bar)^T + (w - alpha w_bar) x^T, two rank-one parts that
+    are Frobenius-orthogonal because w - alpha w_bar is orthogonal to w_bar.
+    Their squared norms add with no cancellation, so the result keeps full
+    relative accuracy down to exact recovery.
+    """
+    w_bar = truth.w_bar
+    b = w_bar @ w_bar
+    alpha = (w_stack @ w_bar)[:, None] / b
+    dw = w_stack - alpha * w_bar
+    dx = alpha * x_stack - truth.x_bar
+    return b * (dx * dx).sum(axis=1) + (dw * dw).sum(axis=1) * (x_stack * x_stack).sum(axis=1)
 
 
 def relative_error(p: SignalPair, truth: GroundTruth) -> float:
-    """||w x^T - w_bar x_bar^T||_F / ||w_bar x_bar^T||_F via inner products.
-
-    The expansion ||w||^2 ||x||^2 - 2 <w, w_bar><x, x_bar> + M^2 is clamped at
-    zero before the square root so exact recoveries cannot go negative by
-    floating-point cancellation.
-    """
+    """||w x^T - w_bar x_bar^T||_F / ||w_bar x_bar^T||_F via inner products."""
     err2 = _matrix_error_squared_many(p.w[None, :], p.x[None, :], truth)
     return float(np.sqrt(err2[0]) / truth.magnitude)
 

@@ -40,11 +40,6 @@ from .model import (
 )
 
 
-def halving_tolerances(k: int) -> float:
-    """Inner tolerance 2^(-k) for the k-th outer iteration."""
-    return 2.0**-k
-
-
 def quartering_tolerances(k: int) -> float:
     """Inner tolerance 4^(-k) for the k-th outer iteration.
 
@@ -126,10 +121,15 @@ class TraceRecord:
 
 @dataclass
 class Trace:
-    """Per-iteration progress log; one record per visited iterate."""
+    """Per-iteration progress log; one record per visited iterate.
+
+    ``diverged`` is set when a run stopped because its objective became
+    non-finite; the last record is then the first non-finite iterate.
+    """
 
     max_iters: int
     records: list[TraceRecord] = field(default_factory=list)
+    diverged: bool = False
 
     def append(self, record: TraceRecord) -> None:
         if len(self.records) > self.max_iters:
@@ -185,6 +185,9 @@ class _RunState:
         )
 
     def should_stop(self, k: int, objective: float) -> bool:
+        if not math.isfinite(objective):
+            self.trace.diverged = True
+            return True
         if objective < self.best_objective - self.cfg.stall_tol:
             self.best_objective = objective
             self.last_improvement = k
@@ -279,6 +282,8 @@ class AdmmResult(NamedTuple):
     iterations: int
     exhausted: bool
     objective: float
+    lam: np.ndarray  # final scaled duals, a warm start for a nearby subproblem
+    nu: np.ndarray
 
 
 def _make_normal_solver(
@@ -294,7 +299,9 @@ def _make_normal_solver(
         factor = cho_factor(gram, lower=False)
 
         def solve(rhs: np.ndarray, guess: np.ndarray | None, tol: float) -> np.ndarray:
-            return cho_solve(factor, rhs)
+            # cho_factor already checked the matrix; skipping the scan of rhs
+            # leaves the same LAPACK solve at a lower per-call cost
+            return cho_solve(factor, rhs, check_finite=False)
 
         return solve
 
@@ -322,13 +329,18 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
 
 
-def _clip_balls(z: np.ndarray, d1: int, radius: float) -> np.ndarray:
-    out = z.copy()
+def _clip_balls(
+    z: np.ndarray, d1: int, radius: float, center: np.ndarray | None = None
+) -> np.ndarray:
+    """Project z blockwise onto two balls of the given radius, centred at
+    ``center`` (split like z into its first d1 and remaining entries) or at
+    the origin when ``center`` is None."""
+    out = z.copy() if center is None else z - center
     for part in (out[:d1], out[d1:]):
         norm = np.linalg.norm(part)
         if norm > radius:
             part *= radius / norm
-    return out
+    return out if center is None else out + center
 
 
 def admm_lad_prox(
@@ -338,6 +350,8 @@ def admm_lad_prox(
     cfg: AdmmConfig,
     region: FeasibleRegion | None = None,
     eps: float = 1e-6,
+    center: np.ndarray | None = None,
+    duals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AdmmResult:
     """Graph-splitting ADMM for min (1/m)||Az - y~||_1 + (beta/2)||z||^2.
 
@@ -347,10 +361,15 @@ def admm_lad_prox(
 
     so each iteration costs one forward and one transpose product plus a
     cached factorization solve.  Both prox steps are closed-form: the z-prox
-    is the scalar shrink rho/(beta+rho) followed by an exact ball projection,
+    is the scalar shrink rho/(beta+rho) followed by an exact projection onto
+    ``region``'s two balls, centred at ``center`` (the origin by default),
     and the t-prox is soft-thresholding toward y~ with threshold 1/(m*rho).
     Termination follows the paired primal/dual residual tests scaled by
     sqrt(d1+d2) + the running iterate norms.
+
+    z and t start at zero; the scaled duals (lam, nu) start at ``duals``, or
+    at zero when None.  The result carries the final duals, so a sequence of
+    nearby subproblems can pass each solve's duals on to the next.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -362,13 +381,13 @@ def admm_lad_prox(
     shrink = rho / (beta + rho)
     threshold = 1.0 / (m * rho)
     scale = math.sqrt(n)
+    clip = region is not None and not math.isinf(region.radius)
 
     solve = _make_normal_solver(amap, cfg)
 
     z = np.zeros(n)
     t = np.zeros(m)
-    lam = np.zeros(n)
-    nu = np.zeros(m)
+    lam, nu = (np.zeros(n), np.zeros(m)) if duals is None else duals
 
     def lad_objective(point: np.ndarray, mapped: np.ndarray) -> float:
         return float(np.abs(mapped - y_tilde).mean() + 0.5 * beta * point @ point)
@@ -379,8 +398,8 @@ def admm_lad_prox(
     exhausted = True
     for iterations in range(1, cfg.max_inner + 1):
         z_half = shrink * (z - lam)
-        if region is not None and not math.isinf(region.radius):
-            z_half = _clip_balls(z_half, amap.d1, region.radius)
+        if clip:
+            z_half = _clip_balls(z_half, amap.d1, region.radius, center)
         t_half = y_tilde + soft_threshold(t - nu - y_tilde, threshold)
 
         v = z_half + lam
@@ -412,11 +431,13 @@ def admm_lad_prox(
             exhausted = False
             break
 
-    if region is not None and not math.isinf(region.radius):
+    if clip:
         # the half-step iterate is the feasible one; return its latest value
-        final = _clip_balls(z, amap.d1, region.radius)
-        return AdmmResult(z=final, iterations=iterations, exhausted=exhausted, objective=lad_objective(final, amap.matvec(final)))
-    return AdmmResult(z=best_z, iterations=iterations, exhausted=exhausted, objective=best_obj)
+        best_z = _clip_balls(z, amap.d1, region.radius, center)
+        best_obj = lad_objective(best_z, amap.matvec(best_z))
+    return AdmmResult(
+        z=best_z, iterations=iterations, exhausted=exhausted, objective=best_obj, lam=lam, nu=nu
+    )
 
 
 def prox_linear(
@@ -427,11 +448,15 @@ def prox_linear(
     Each outer iteration linearizes the bilinear map at the current point and
     minimizes model + (beta/2)||displacement||^2 to tolerance
     ``cfg.admm.eps_schedule(k)``; the displacement is added to the point.
-    Inner exhaustion is flagged on the trace and the best inner iterate is
-    used.
+    With ``cfg.region`` the displacement is confined so that the new point
+    stays in the region.  Each inner solve starts from the previous one's
+    final duals (zero for the first): successive linearizations share most of
+    the LAD subgradient's sign pattern, which the duals carry.  Inner
+    exhaustion is flagged on the trace and the best inner iterate is used.
     """
     beta = cfg.prox_beta if cfg.prox_beta is not None else 1.0 / cfg.admm.alpha
     p = _project(start, cfg.region)
+    duals = None
     with count_matvecs() as counter:
         state = _RunState(inst, cfg, counter)
         amap, y_tilde = linearized_residual_operator(inst, p)
@@ -439,8 +464,16 @@ def prox_linear(
         for k in range(1, cfg.max_iters + 1):
             eps_k = cfg.admm.eps_schedule(k)
             result = admm_lad_prox(
-                amap, y_tilde, beta=beta, cfg=cfg.admm, region=cfg.region, eps=eps_k
+                amap,
+                y_tilde,
+                beta=beta,
+                cfg=cfg.admm,
+                region=cfg.region,
+                eps=eps_k,
+                center=-np.concatenate([p.w, p.x]),
+                duals=duals,
             )
+            duals = (result.lam, result.nu)
             p = SignalPair(w=p.w + result.z[: inst.d1], x=p.x + result.z[inst.d1 :])
             amap, y_tilde = linearized_residual_operator(inst, p)
             state.record(

@@ -143,6 +143,15 @@ class TestExitCodes:
         assert code == 1
         assert "missing-dir" in err
 
+    def test_divergent_solve_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["solve", *TINY, "--solver", "geometric", "--lambda", "1e300", "--iters", "5"],
+        )
+        assert code == 1
+        assert "runtime failure" in err and "diverged" in err
+        assert "final relative error" not in out
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 

@@ -176,6 +176,25 @@ class TestRelativeError:
         slow = outer_product_relative_error(p.w, p.x, truth.w_bar, truth.x_bar)
         assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [-3.0, 0.5, 2.0])
+    def test_resolves_errors_near_the_solution_set(self, scale):
+        # (a w_bar + d, x_bar / a + d') with |d| ~ 1e-10 relative: an expansion
+        # of the squared error cancels to ~eps here and reads 0; the oracle
+        # takes extended-precision copies so its own outer-product rounding
+        # stays far below the tolerance
+        rng = np.random.default_rng(8)
+        truth = random_truth(rng, 30, 20)
+        dw = rng.standard_normal(30)
+        dx = rng.standard_normal(20)
+        p = SignalPair(
+            w=scale * truth.w_bar + 1e-10 * np.linalg.norm(truth.w_bar) * dw / np.linalg.norm(dw),
+            x=truth.x_bar / scale + 1e-10 * np.linalg.norm(truth.x_bar) * dx / np.linalg.norm(dx),
+        )
+        wide = [np.asarray(v, dtype=np.longdouble) for v in (p.w, p.x, truth.w_bar, truth.x_bar)]
+        expected = outer_product_relative_error(*wide)
+        assert expected > 1e-11
+        assert relative_error(p, truth) == pytest.approx(expected, rel=1e-6)
+
     def test_zero_only_on_exact_factorizations(self):
         rng = np.random.default_rng(5)
         truth = random_truth(rng, 4, 4)

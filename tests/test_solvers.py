@@ -183,6 +183,18 @@ class TestGeometric:
         final, trace = geometric_subgradient(inst, perturbed_start(inst, 0.3, 20), cfg)
         assert trace.final.relative_error <= 1e-4
 
+    def test_non_finite_objective_ends_the_run(self):
+        inst = generate_instance(5, 5, 40, seed=3)
+        start = perturbed_start(inst, 0.3, 4)
+        _, finite = geometric_subgradient(inst, start, SolverConfig(max_iters=5, stall_window=None))
+        assert not finite.diverged and finite.final.iteration == 5
+        cfg = SolverConfig(max_iters=5, lambda0=1e300, stall_window=None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = geometric_subgradient(inst, start, cfg)
+        assert trace.diverged
+        assert trace.final.iteration == 1
+        assert math.isinf(trace.final.objective)
+
 
 class TestSoftThreshold:
     def test_hand_example(self):
@@ -283,6 +295,31 @@ class TestAdmm:
         )
         np.testing.assert_allclose(via_default.z, via_explicit.z, atol=1e-10)
 
+    def test_zero_duals_are_the_default(self):
+        amap, y_tilde = column_instance(27)
+        default = admm_lad_prox(amap, y_tilde, beta=1.0, cfg=AdmmConfig(), eps=1e-8)
+        explicit = admm_lad_prox(
+            amap,
+            y_tilde,
+            beta=1.0,
+            cfg=AdmmConfig(),
+            eps=1e-8,
+            duals=(np.zeros(amap.shape[1]), np.zeros(amap.m)),
+        )
+        np.testing.assert_array_equal(default.z, explicit.z)
+        assert default.iterations == explicit.iterations
+
+    def test_converged_duals_warm_start_the_same_subproblem(self):
+        inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=37)
+        amap, y_tilde = linearized_residual_operator(inst, perturbed_start(inst, 0.2, 38))
+        cold = admm_lad_prox(amap, y_tilde, beta=1.0, cfg=AdmmConfig(), eps=1e-8)
+        warm = admm_lad_prox(
+            amap, y_tilde, beta=1.0, cfg=AdmmConfig(), eps=1e-8, duals=(cold.lam, cold.nu)
+        )
+        assert not cold.exhausted and not warm.exhausted
+        assert 2 * warm.iterations <= cold.iterations
+        np.testing.assert_allclose(warm.z, cold.z, atol=1e-5)
+
     def test_rejects_bad_tolerance(self):
         amap, y_tilde = column_instance(26)
         with pytest.raises(ValueError, match="eps"):
@@ -329,6 +366,30 @@ class TestProxLinear:
         _, trace = prox_linear(inst, perturbed_start(inst, 0.3, 34), cfg)
         assert trace.any_inner_exhausted
         assert trace.final.iteration == 3
+
+    def test_region_confines_the_iterate(self):
+        # the balls bound the point p + z, not the displacement z: clipping z
+        # to origin-centred balls left both factors at norm ~2.0 here
+        inst = generate_instance(10, 10, 160, seed=1, magnitude=4.0)
+        rng = np.random.default_rng(0)
+        start = SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
+        region = FeasibleRegion(radius=1.5)
+        cfg = SolverConfig(max_iters=10, region=region, stall_window=None)
+        final, trace = prox_linear(inst, start, cfg)
+        assert trace.final.iteration == 10
+        assert np.linalg.norm(final.w) <= region.radius + 1e-12
+        assert np.linalg.norm(final.x) <= region.radius + 1e-12
+
+    def test_repeated_runs_are_bit_identical(self):
+        # the warm-started duals live inside one call, so nothing carries over
+        inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=39)
+        start = perturbed_start(inst, 0.25, 40)
+        cfg = SolverConfig(max_iters=8, stall_window=None)
+        first, first_trace = prox_linear(inst, start, cfg)
+        second, second_trace = prox_linear(inst, start, cfg)
+        np.testing.assert_array_equal(first.w, second.w)
+        np.testing.assert_array_equal(first.x, second.x)
+        assert first_trace == second_trace
 
     def test_matvec_accounting_matches_inner_counts(self):
         inst = generate_instance(5, 5, 80, seed=35)
