@@ -1,16 +1,21 @@
 """Command-line front end for single solves and the Monte-Carlo experiments.
 
-Settings resolve in three layers: hard defaults, then a flat ``key=value``
-config file (``--config``), then explicit command-line flags, later layers
-winning.  Exit codes: 0 success, 2 configuration error, 1 runtime failure.
+Each setting is one row of ``_SETTINGS``: its key is both the flag
+(``--key``) and the config-file key, and its parse turns the text into
+``ExperimentSpec`` / ``SolverConfig`` fields.  Settings resolve in three
+layers: the dataclass defaults (plus the few CLI defaults that differ from
+them), then a flat ``key=value`` config file (``--config``), then explicit
+command-line flags, later layers winning.  Exit codes: 0 success, 2
+configuration error, 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import fields, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -20,12 +25,13 @@ from .experiments import (
     ResultTable,
     emit_csv,
     initial_point,
+    make_instance,
     run_experiment,
 )
 from .geometry import estimate_rip_constants
 from .linops import DimensionError
-from .model import NoiseSpec, generate_instance
-from .solvers import AdmmConfig, SolverConfig
+from .model import ProblemInstance
+from .solvers import SolverConfig
 from .spectral_init import DegenerateFitError
 
 
@@ -33,65 +39,29 @@ class ConfigError(Exception):
     pass
 
 
-_KEYS = (
-    "d1",
-    "d2",
-    "c",
-    "pfail",
-    "trials",
-    "seed",
-    "solver",
-    "noise",
-    "left",
-    "q",
-    "lambda",
-    "beta",
-    "nu",
-    "threshold",
-    "out",
-    "init",
-    "iters",
-)
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"expected one integer, got {text!r}") from exc
 
-_DEFAULTS = {
-    "d1": "100",
-    "d2": "100",
-    "c": "8",
-    "pfail": "0.0",
-    "trials": None,  # per command
-    "seed": "0",
-    "solver": "polyak",
-    "noise": "n1,sigma=1.0",
-    "left": "gaussian",
-    "q": "0.98",
-    "lambda": "1.0",
-    "beta": None,
-    "nu": repr(math.sqrt(2.0)),
-    "threshold": "1e-5",
-    "out": None,
-    "init": "spectral",
-    "iters": None,  # per solver
-}
 
-_TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
-_ITER_DEFAULTS = {"polyak": 500, "geometric": 2000, "proxlinear": 20}
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"expected one number, got {text!r}") from exc
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+    return tuple(_parse_int(tok) for tok in text.split(","))
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+    return tuple(_parse_float(tok) for tok in text.split(","))
 
 
-def _parse_noise(text: str) -> tuple[str, tuple[float, ...]]:
+def _parse_noise(text: str) -> dict[str, Any]:
     """``n1,sigma=1.0`` (sigma accepts a comma list) or ``n2``."""
     tokens = text.split(",")
     kind = tokens[0].strip()
@@ -107,7 +77,46 @@ def _parse_noise(text: str) -> tuple[str, tuple[float, ...]]:
         sigmas = _parse_float_list(spec[len("sigma=") :])
         if any(s <= 0 for s in sigmas):
             raise ConfigError("sigma values must be positive")
-    return kind, sigmas
+    return {"noise_kind": kind, "sigmas": sigmas}
+
+
+def _parse_qs(text: str) -> dict[str, Any]:
+    qs = _parse_float_list(text)
+    return {"qs": qs, "decay_q": qs[0]}
+
+
+# key -> (help, parse of its text into ExperimentSpec / SolverConfig fields;
+# "out" is the one key that is neither)
+_SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
+    "d1": ("left factor dimension", lambda t: {"d1": _parse_int(t)}),
+    "d2": ("right factor dimension", lambda t: {"d2": _parse_int(t)}),
+    "c": (
+        "oversampling ratio(s) m = c*(d1+d2), comma list",
+        lambda t: {"m_ratios": _parse_int_list(t)},
+    ),
+    "pfail": ("corruption fraction(s), comma list", lambda t: {"p_fails": _parse_float_list(t)}),
+    "trials": ("Monte-Carlo trials per cell", lambda t: {"trials": _parse_int(t)}),
+    "seed": ("base seed", lambda t: {"base_seed": _parse_int(t)}),
+    "solver": ("polyak | geometric | proxlinear", lambda t: {"solver": t}),
+    "noise": ("n1,sigma=... (sigma accepts a list) or n2", _parse_noise),
+    "left": ("gaussian | hadamard", lambda t: {"left": t}),
+    "q": ("geometric decay rate(s), comma list", _parse_qs),
+    "lambda": ("initial step length", lambda t: {"lambda0": _parse_float(t)}),
+    "beta": ("prox-linear quadratic weight", lambda t: {"prox_beta": _parse_float(t)}),
+    "nu": ("solution-set looseness (>= 1)", lambda t: {"nu": _parse_float(t)}),
+    "threshold": (
+        "success / stopping relative error",
+        lambda t: {"success_threshold": _parse_float(t)},
+    ),
+    "out": ("CSV output path", lambda t: {"out": t}),
+    "init": ("spectral | random-heuristic", lambda t: {"init": t}),
+    "iters": ("iteration budget", lambda t: {"max_iters": _parse_int(t)}),
+}
+
+# the CLI defaults that differ from the dataclasses'
+_TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
+_ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
+_SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -122,7 +131,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _KEYS:
+                if key not in _SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -130,119 +139,30 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-@dataclass
-class Settings:
-    command: str
-    d1: int
-    d2: int
-    cs: tuple[int, ...]
-    p_fails: tuple[float, ...]
-    trials: int
-    seed: int
-    solver: str
-    noise_kind: str
-    sigmas: tuple[float, ...]
-    left: str
-    qs: tuple[float, ...]
-    lambda0: float
-    beta: float | None
-    nu: float
-    threshold: float
-    out: str | None
-    init: str
-    iters: int
-
-
-def _resolve(args: argparse.Namespace) -> Settings:
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def pick(key: str) -> str | None:
-        flag = getattr(args, key.replace("-", "_") if key != "lambda" else "lam")
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return _DEFAULTS[key]
-
-    solver = pick("solver")
-    if solver not in ("polyak", "geometric", "proxlinear"):
-        raise ConfigError(f"unknown solver {solver!r}")
-    left = pick("left")
-    if left not in ("gaussian", "hadamard"):
-        raise ConfigError(f"left operator must be gaussian or hadamard, got {left!r}")
-    init = pick("init")
-    if init not in ("spectral", "random-heuristic"):
-        raise ConfigError(f"init must be spectral or random-heuristic, got {init!r}")
-    noise_kind, sigmas = _parse_noise(pick("noise"))
-
-    trials_text = pick("trials")
-    if trials_text is None:
-        trials = _TRIAL_DEFAULTS.get(args.command, 20)
-    else:
-        trials = _parse_int_list(trials_text)[0]
-    iters_text = pick("iters")
-    iters = (
-        _ITER_DEFAULTS[solver] if iters_text is None else _parse_int_list(iters_text)[0]
-    )
-    beta_text = pick("beta")
-
+def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
+    """The command's spec and CSV path: flags over file values over defaults."""
+    texts = read_config_file(args.config) if args.config else {}
+    flags = vars(args)
+    texts.update((key, flags[key]) for key in _SETTINGS if flags[key] is not None)
+    values: dict[str, Any] = {"stall_window": None}
+    if args.command in _TRIAL_DEFAULTS:
+        values["trials"] = _TRIAL_DEFAULTS[args.command]
+    for key, text in texts.items():
+        values.update(_SETTINGS[key][1](text))
+    out = values.pop("out", None)
+    solver = values.get("solver", ExperimentSpec.solver)
+    if "max_iters" not in values and solver in _ITER_DEFAULTS:
+        values["max_iters"] = _ITER_DEFAULTS[solver]
+    solver_values = {k: values.pop(k) for k in _SOLVER_FIELDS & values.keys()}
     try:
-        return Settings(
-            command=args.command,
-            d1=_parse_int_list(pick("d1"))[0],
-            d2=_parse_int_list(pick("d2"))[0],
-            cs=_parse_int_list(pick("c")),
-            p_fails=_parse_float_list(pick("pfail")),
-            trials=trials,
-            seed=_parse_int_list(pick("seed"))[0],
-            solver=solver,
-            noise_kind=noise_kind,
-            sigmas=sigmas,
-            left=left,
-            qs=_parse_float_list(pick("q")),
-            lambda0=float(pick("lambda")),
-            beta=None if beta_text is None else float(beta_text),
-            nu=float(pick("nu")),
-            threshold=float(pick("threshold")),
-            out=pick("out"),
-            init=init,
-            iters=iters,
+        spec = ExperimentSpec(
+            kind=_COMMANDS[args.command][1],
+            solver_config=SolverConfig(**solver_values),
+            **values,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _solver_config(s: Settings, tol_rel_err: float = 0.0) -> SolverConfig:
-    return SolverConfig(
-        max_iters=s.iters,
-        lambda0=s.lambda0,
-        decay_q=s.qs[0],
-        prox_beta=s.beta,
-        tol_rel_err=tol_rel_err,
-        stall_window=None,
-        admm=AdmmConfig(),
-    )
-
-
-def _experiment_spec(s: Settings, kind: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        kind=kind,
-        d1=s.d1,
-        d2=s.d2,
-        m_ratios=s.cs,
-        p_fails=s.p_fails,
-        trials=s.trials,
-        base_seed=s.seed,
-        solver=s.solver,
-        success_threshold=s.threshold,
-        solver_config=_solver_config(s),
-        init=s.init,
-        noise_kind=s.noise_kind,
-        sigmas=s.sigmas,
-        left=s.left,
-        nu=s.nu,
-        qs=s.qs,
-    )
+    return spec, out
 
 
 def _print_table(table: ResultTable) -> None:
@@ -257,30 +177,17 @@ def _maybe_emit(table: ResultTable, out: str | None) -> None:
         print(f"wrote {len(table)} rows to {out}")
 
 
-def _single_instance(s: Settings):
-    noise = None
-    if s.p_fails[0] > 0.0:
-        noise = (
-            NoiseSpec.gaussian(s.p_fails[0], sigma=s.sigmas[0])
-            if s.noise_kind == "n1"
-            else NoiseSpec.implanted(s.p_fails[0])
-        )
-    return generate_instance(
-        s.d1,
-        s.d2,
-        s.cs[0] * (s.d1 + s.d2),
-        left=s.left,
-        noise=noise,
-        seed=s.seed,
-        nu=s.nu,
+def _first_instance(spec: ExperimentSpec) -> ProblemInstance:
+    return make_instance(
+        spec, spec.m_ratios[0], spec.p_fails[0], spec.sigmas[0], spec.base_seed
     )
 
 
-def _cmd_solve(s: Settings) -> int:
-    inst = _single_instance(s)
-    start = initial_point(inst, s.init)
-    cfg = _solver_config(s, tol_rel_err=s.threshold)
-    final, trace = SOLVER_FUNCTIONS[s.solver](inst, start, cfg)
+def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
+    inst = _first_instance(spec)
+    start = initial_point(inst, spec.init)
+    cfg = replace(spec.solver_config, tol_rel_err=spec.success_threshold)
+    final, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, cfg)
     print("iteration  objective      rel_error      step_size      matvecs")
     for r in trace.records:
         print(
@@ -291,12 +198,13 @@ def _cmd_solve(s: Settings) -> int:
         raise RuntimeError(
             f"solver diverged: non-finite objective at iteration {trace.final.iteration}"
         )
-    status = "reached" if trace.final.relative_error <= s.threshold else "missed"
+    threshold = spec.success_threshold
+    status = "reached" if trace.final.relative_error <= threshold else "missed"
     print(
         f"final relative error {trace.final.relative_error:.6e} "
-        f"({status} threshold {s.threshold:g})"
+        f"({status} threshold {threshold:g})"
     )
-    if s.out is not None:
+    if out is not None:
         table = ResultTable()
         for r in trace.records:
             config = (("iteration", r.iteration),)
@@ -304,40 +212,38 @@ def _cmd_solve(s: Settings) -> int:
             table.add(config, "relative_error", r.relative_error)
             table.add(config, "step_size", r.step_size)
             table.add(config, "matvecs", r.matvecs)
-        _maybe_emit(table, s.out)
+        _maybe_emit(table, out)
     return 0
 
 
-def _cmd_experiment(s: Settings, kind: str) -> int:
-    table = run_experiment(_experiment_spec(s, kind))
-    if kind == "convergence":
-        # the full trace table is large; print per-cell final errors only
-        summary = ResultTable()
-        for c in s.cs:
-            for p_fail in s.p_fails:
-                for sigma in s.sigmas:
-                    finals = []
-                    for trial in range(s.trials):
-                        errs = table.values(
-                            "relative_error", c=c, p_fail=p_fail, sigma=sigma, trial=trial
-                        )
-                        finals.append(errs[-1])
-                    summary.add(
-                        (("c", c), ("p_fail", p_fail), ("sigma", sigma)),
-                        "median_final_error",
-                        float(np.median(finals)),
-                    )
-        _print_table(summary)
-    else:
-        _print_table(table)
-    _maybe_emit(table, s.out)
+def _final_error_medians(table: ResultTable) -> ResultTable:
+    """Per (c, p_fail, sigma) cell of a convergence table, the median over
+    trials of each trial's last relative error, in one scan of the rows."""
+    finals = {}
+    for row in table.rows:  # a trial's iterations are added in order
+        if row.statistic == "relative_error":
+            finals[row.config[:4]] = row.value  # (c, p_fail, sigma, trial)
+    cells = defaultdict(list)
+    for config, value in finals.items():
+        cells[config[:3]].append(value)
+    summary = ResultTable()
+    for cell, values in cells.items():
+        summary.add(cell, "median_final_error", float(np.median(values)))
+    return summary
+
+
+def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
+    table = run_experiment(spec)
+    # the full convergence trace table is large; print per-cell final errors only
+    _print_table(_final_error_medians(table) if spec.kind == "convergence" else table)
+    _maybe_emit(table, out)
     return 0
 
 
-def _cmd_rip_probe(s: Settings) -> int:
-    inst = _single_instance(s)
+def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
+    inst = _first_instance(spec)
     est = estimate_rip_constants(
-        inst.op, inst.outlier_mask, samples=s.trials, seed=s.seed
+        inst.op, inst.outlier_mask, samples=spec.trials, seed=spec.base_seed
     )
     print(f"c_lower      = {est.c_lower:.10g}")
     print(f"c_upper      = {est.c_upper:.10g}")
@@ -347,51 +253,32 @@ def _cmd_rip_probe(s: Settings) -> int:
     return 0
 
 
+# command -> (help, ExperimentSpec.kind, handler); solve and rip-probe read
+# only the first cell's instance from the spec, so their kind is nominal
+_COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int]]] = {
+    "solve": ("solve one instance, print the trace", "convergence", _cmd_solve),
+    "init": ("initialization accuracy table", "init", _cmd_experiment),
+    "converge": ("per-iteration error traces", "convergence", _cmd_experiment),
+    "phase": ("success-rate grid over (p_fail, c)", "phase", _cmd_experiment),
+    "sweep-q": ("decay-rate sweep, mean final error", "qsweep", _cmd_experiment),
+    "rip-probe": ("landscape constants probe", "init", _cmd_rip_probe),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value settings file")
-    shared.add_argument("--d1", help="left factor dimension")
-    shared.add_argument("--d2", help="right factor dimension")
-    shared.add_argument("--c", help="oversampling ratio(s) m = c*(d1+d2), comma list")
-    shared.add_argument("--pfail", help="corruption fraction(s), comma list")
-    shared.add_argument("--trials", help="Monte-Carlo trials per cell")
-    shared.add_argument("--seed", help="base seed")
-    shared.add_argument(
-        "--solver", help="polyak | geometric | proxlinear", dest="solver"
-    )
-    shared.add_argument("--noise", help="n1,sigma=... (sigma accepts a list) or n2")
-    shared.add_argument("--left", help="gaussian | hadamard")
-    shared.add_argument("--q", help="geometric decay rate(s), comma list")
-    shared.add_argument("--lambda", dest="lam", help="initial step length")
-    shared.add_argument("--beta", help="prox-linear quadratic weight")
-    shared.add_argument("--nu", help="solution-set looseness (>= 1)")
-    shared.add_argument("--threshold", help="success / stopping relative error")
-    shared.add_argument("--out", help="CSV output path")
-    shared.add_argument("--init", help="spectral | random-heuristic")
-    shared.add_argument("--iters", help="iteration budget")
+    for key, (help_text, _) in _SETTINGS.items():
+        shared.add_argument(f"--{key}", help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="bideconv",
         description="Robust rank-one bilinear recovery: solvers and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[shared], help="solve one instance, print the trace")
-    sub.add_parser("init", parents=[shared], help="initialization accuracy table")
-    sub.add_parser("converge", parents=[shared], help="per-iteration error traces")
-    sub.add_parser("phase", parents=[shared], help="success-rate grid over (p_fail, c)")
-    sub.add_parser("sweep-q", parents=[shared], help="decay-rate sweep, mean final error")
-    sub.add_parser("rip-probe", parents=[shared], help="landscape constants probe")
+    for command, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(command, parents=[shared], help=help_text)
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "init": lambda s: _cmd_experiment(s, "init"),
-    "converge": lambda s: _cmd_experiment(s, "convergence"),
-    "phase": lambda s: _cmd_experiment(s, "phase"),
-    "sweep-q": lambda s: _cmd_experiment(s, "qsweep"),
-    "rip-probe": _cmd_rip_probe,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -400,16 +287,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        settings = _resolve(args)
+        spec, out = _resolve(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command][2](spec, out)
     except DegenerateFitError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, DimensionError, ConfigError) as exc:
+    except (ValueError, DimensionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError, np.linalg.LinAlgError) as exc:

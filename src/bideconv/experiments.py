@@ -100,6 +100,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.init not in ("spectral", "random-heuristic"):
             raise ValueError(f"unknown init {self.init!r}")
+        if self.left not in ("gaussian", "hadamard"):
+            raise ValueError(f"left operator must be gaussian or hadamard, got {self.left!r}")
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
 
@@ -152,9 +154,11 @@ def _noise(spec: ExperimentSpec, p_fail: float, sigma: float) -> NoiseSpec | Non
     return NoiseSpec.implanted(p_fail)
 
 
-def _make_instance(
+def make_instance(
     spec: ExperimentSpec, c: int, p_fail: float, sigma: float, seed: int
 ) -> ProblemInstance:
+    """The instance of cell (c, p_fail, sigma) drawn from ``seed``: m = c(d1 + d2)
+    measurements with the spec's left side, noise model and looseness nu."""
     return generate_instance(
         spec.d1,
         spec.d2,
@@ -192,10 +196,17 @@ def initial_point(inst: ProblemInstance, init: InitName) -> SignalPair:
 def solve_instance(
     inst: ProblemInstance, spec: ExperimentSpec, cfg: SolverConfig | None = None
 ) -> tuple[SignalPair, Trace]:
+    """Initialize and solve one instance; a diverged run raises RuntimeError."""
     start = initial_point(inst, spec.init)
-    return SOLVER_FUNCTIONS[spec.solver](
+    point, trace = SOLVER_FUNCTIONS[spec.solver](
         inst, start, cfg if cfg is not None else spec.solver_config
     )
+    if trace.diverged:
+        raise RuntimeError(
+            f"solver diverged on instance seed {inst.seed}: "
+            f"non-finite objective at iteration {trace.final.iteration}"
+        )
+    return point, trace
 
 
 def _cells(spec: ExperimentSpec) -> Iterable[tuple[int, float, float]]:
@@ -211,7 +222,7 @@ def run_convergence(spec: ExperimentSpec) -> ResultTable:
     for c, p_fail, sigma in _cells(spec):
         for trial in range(spec.trials):
             seed = derive_seed(spec.base_seed, "convergence", c, p_fail, sigma, trial)
-            inst = _make_instance(spec, c, p_fail, sigma, seed)
+            inst = make_instance(spec, c, p_fail, sigma, seed)
             _, trace = solve_instance(inst, spec)
             for record in trace.records:
                 config: Config = (
@@ -236,7 +247,7 @@ def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
         finals = []
         for trial in range(spec.trials):
             seed = derive_seed(spec.base_seed, "phase", c, p_fail, sigma, trial)
-            inst = _make_instance(spec, c, p_fail, sigma, seed)
+            inst = make_instance(spec, c, p_fail, sigma, seed)
             _, trace = solve_instance(inst, spec)
             finals.append(trace.final.relative_error)
             if trace.final.relative_error <= spec.success_threshold:
@@ -251,15 +262,15 @@ def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
     """Mean final error of the decaying-step method per (q, c) cell."""
     table = ResultTable()
     p_fail, sigma = spec.p_fails[0], spec.sigmas[0]
+    geometric = replace(spec, solver="geometric")
     for c in spec.m_ratios:
         for q in spec.qs:
             finals = []
             for trial in range(spec.trials):
                 seed = derive_seed(spec.base_seed, "qsweep", c, q, trial)
-                inst = _make_instance(spec, c, p_fail, sigma, seed)
+                inst = make_instance(spec, c, p_fail, sigma, seed)
                 cfg = replace(spec.solver_config, decay_q=q)
-                start = initial_point(inst, spec.init)
-                _, trace = geometric_subgradient(inst, start, cfg)
+                _, trace = solve_instance(inst, geometric, cfg)
                 finals.append(trace.final.relative_error)
             table.add((("c", c), ("q", q)), "mean_final_error", float(np.mean(finals)))
     return table
@@ -277,7 +288,7 @@ def run_init_quality(spec: ExperimentSpec) -> ResultTable:
         errors = []
         for trial in range(spec.trials):
             seed = derive_seed(spec.base_seed, "init", c, p_fail, sigma, trial)
-            inst = _make_instance(spec, c, p_fail, sigma, seed)
+            inst = make_instance(spec, c, p_fail, sigma, seed)
             est = spectral_initialize(inst)
             err = direction_error(est.w_dir, est.x_dir, inst.truth)
             errors.append(err)

@@ -51,26 +51,22 @@ def quartering_tolerances(k: int) -> float:
     return 4.0**-k
 
 
+# Objective decrease below which the stall counter does not reset.
+_STALL_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class AdmmConfig:
     """Knobs for the least-absolute-deviation inner solver.
 
-    ``rho=None`` resolves to 1/m at solve time (the scaling that balances the
-    1/m objective weight); ``alpha`` is the proximal weight whose reciprocal
-    is the default quadratic coefficient when none is passed explicitly.
+    The ADMM penalty is fixed at 1/m, the scaling that balances the 1/m
+    objective weight.
     """
 
-    rho: float | None = None
-    alpha: float = 1.0
     eps_schedule: Callable[[int], float] = quartering_tolerances
     max_inner: int = 100_000
-    dense_cutoff: int = 4096
 
     def __post_init__(self) -> None:
-        if self.rho is not None and not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
@@ -89,11 +85,10 @@ class SolverConfig:
     lambda0: float = 1.0
     decay_q: float = 0.98
     min_value: float | None = None
-    prox_beta: float | None = None
+    prox_beta: float = 1.0
     region: FeasibleRegion | None = None
     tol_rel_err: float = 0.0
     stall_window: int | None = 50
-    stall_tol: float = 1e-14
     admm: AdmmConfig = field(default_factory=AdmmConfig)
 
     def __post_init__(self) -> None:
@@ -103,7 +98,7 @@ class SolverConfig:
             raise ValueError(f"decay_q must lie in (0, 1), got {self.decay_q}")
         if not self.lambda0 > 0.0:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if self.prox_beta is not None and not self.prox_beta > 0.0:
+        if not self.prox_beta > 0.0:
             raise ValueError(f"prox_beta must be positive, got {self.prox_beta}")
 
 
@@ -188,7 +183,7 @@ class _RunState:
         if not math.isfinite(objective):
             self.trace.diverged = True
             return True
-        if objective < self.best_objective - self.cfg.stall_tol:
+        if objective < self.best_objective - _STALL_TOL:
             self.best_objective = objective
             self.last_improvement = k
         if self.cfg.tol_rel_err > 0.0 and self.trace.final.relative_error <= self.cfg.tol_rel_err:
@@ -286,13 +281,17 @@ class AdmmResult(NamedTuple):
     nu: np.ndarray
 
 
+# Widest dense linearized map whose normal equations get a Cholesky factor.
+_DENSE_CUTOFF = 4096
+
+
 def _make_normal_solver(
-    amap: LinearizedResidual, cfg: AdmmConfig
+    amap: LinearizedResidual
 ) -> Callable[[np.ndarray, np.ndarray | None, float], np.ndarray]:
     """Solver for (I + A^T A) z = rhs: cached Cholesky when A is small and
     dense, matrix-free conjugate gradient otherwise."""
     n = amap.shape[1]
-    if amap.is_dense and n <= cfg.dense_cutoff:
+    if amap.is_dense and n <= _DENSE_CUTOFF:
         dense = amap.to_dense()
         gram = dense.T @ dense
         gram[np.diag_indices_from(gram)] += 1.0
@@ -346,7 +345,7 @@ def _clip_balls(
 def admm_lad_prox(
     amap: LinearizedResidual,
     y_tilde: np.ndarray,
-    beta: float | None,
+    beta: float,
     cfg: AdmmConfig,
     region: FeasibleRegion | None = None,
     eps: float = 1e-6,
@@ -363,7 +362,8 @@ def admm_lad_prox(
     cached factorization solve.  Both prox steps are closed-form: the z-prox
     is the scalar shrink rho/(beta+rho) followed by an exact projection onto
     ``region``'s two balls, centred at ``center`` (the origin by default),
-    and the t-prox is soft-thresholding toward y~ with threshold 1/(m*rho).
+    and the t-prox is soft-thresholding toward y~ with threshold 1/(m*rho),
+    where the penalty rho is 1/m.
     Termination follows the paired primal/dual residual tests scaled by
     sqrt(d1+d2) + the running iterate norms.
 
@@ -375,15 +375,13 @@ def admm_lad_prox(
         raise ValueError(f"eps must be positive, got {eps}")
     m = amap.m
     n = amap.shape[1]
-    if beta is None:
-        beta = 1.0 / cfg.alpha
-    rho = cfg.rho if cfg.rho is not None else 1.0 / m
+    rho = 1.0 / m
     shrink = rho / (beta + rho)
     threshold = 1.0 / (m * rho)
     scale = math.sqrt(n)
     clip = region is not None and not math.isinf(region.radius)
 
-    solve = _make_normal_solver(amap, cfg)
+    solve = _make_normal_solver(amap)
 
     z = np.zeros(n)
     t = np.zeros(m)
@@ -454,7 +452,6 @@ def prox_linear(
     the LAD subgradient's sign pattern, which the duals carry.  Inner
     exhaustion is flagged on the trace and the best inner iterate is used.
     """
-    beta = cfg.prox_beta if cfg.prox_beta is not None else 1.0 / cfg.admm.alpha
     p = _project(start, cfg.region)
     duals = None
     with count_matvecs() as counter:
@@ -466,7 +463,7 @@ def prox_linear(
             result = admm_lad_prox(
                 amap,
                 y_tilde,
-                beta=beta,
+                beta=cfg.prox_beta,
                 cfg=cfg.admm,
                 region=cfg.region,
                 eps=eps_k,

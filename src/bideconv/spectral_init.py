@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +43,7 @@ def select_inliers(y: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mag <= cutoff)
 
 
-@dataclass(frozen=True)
-class DirectionMatrices:
+class DirectionMatrices(NamedTuple):
     """Second-moment matrices of the selected rows, scaled by 1/m.
 
     The scaling is by the full measurement count, not the selected count, so
@@ -53,26 +53,14 @@ class DirectionMatrices:
     left_moment: np.ndarray
     right_moment: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name, mat in (("left_moment", self.left_moment), ("right_moment", self.right_moment)):
-            arr = np.ascontiguousarray(mat, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-            if not np.allclose(arr, arr.T, atol=1e-10):
-                raise ValueError(f"{name} must be symmetric")
-            object.__setattr__(self, name, arr)
-
 
 def build_direction_matrices(inst: ProblemInstance, selected: np.ndarray) -> DirectionMatrices:
     """Accumulate (1/m) sum of l_i l_i^T and r_i r_i^T over the selected rows."""
     selected = np.asarray(selected, dtype=np.intp)
     lrows = inst.op.left.rows(selected)
     rrows = inst.op.right.rows(selected)
-    left = lrows.T @ lrows / inst.m
-    right = rrows.T @ rrows / inst.m
-    # syrk-style accumulation is symmetric up to rounding; make it exact
     return DirectionMatrices(
-        left_moment=(left + left.T) / 2.0, right_moment=(right + right.T) / 2.0
+        left_moment=lrows.T @ lrows / inst.m, right_moment=rrows.T @ rrows / inst.m
     )
 
 
@@ -83,38 +71,18 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def min_eigenvector(mat: np.ndarray, dense_cutoff: int = 2048) -> np.ndarray:
+def min_eigenvector(mat: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the smallest eigenvalue of a symmetric matrix.
 
-    Dense symmetric eigendecomposition up to ``dense_cutoff``; beyond that, a
-    shifted power iteration on (shift * I - M) whose dominant eigenvector is
-    the wanted one.  The sign is normalized so the first nonzero coordinate
-    is positive.
+    The input is symmetrized, (M + M^T)/2, before the dense symmetric
+    eigendecomposition.  The sign is normalized so the first nonzero
+    coordinate is positive.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {mat.shape}")
-    sym = (mat + mat.T) / 2.0
-    d = sym.shape[0]
-
-    if d <= dense_cutoff:
-        _, vecs = np.linalg.eigh(sym)
-        v = vecs[:, 0]
-    else:
-        # shift by a cheap upper bound on the spectrum (max absolute row sum)
-        shift = float(np.abs(sym).sum(axis=1).max()) or 1.0
-        v = np.random.default_rng(0).standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(10 * d):
-            nxt = shift * v - sym @ v
-            norm = np.linalg.norm(nxt)
-            if norm == 0.0:  # M = shift*I on this vector; any direction works
-                break
-            nxt /= norm
-            if np.linalg.norm(nxt - v) <= 1e-10 or np.linalg.norm(nxt + v) <= 1e-10:
-                v = nxt
-                break
-            v = nxt
+    _, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    v = vecs[:, 0]
     v = v / np.linalg.norm(v)
     return _fix_sign(v)
 

@@ -19,8 +19,8 @@ import conftest
 
 from bideconv.experiments import (
     ExperimentSpec,
-    _make_instance,
     derive_seed,
+    make_instance,
     run_init_quality,
     solve_instance,
 )
@@ -202,7 +202,7 @@ def test_hadamard_left_fragility():
         successes = identifiable = unidentified_successes = 0
         for trial in range(spec.trials):
             seed = derive_seed(spec.base_seed, "phase", c, p_fail, sigma, trial)
-            inst = _make_instance(spec, c, p_fail, sigma, seed)
+            inst = make_instance(spec, c, p_fail, sigma, seed)
             _, trace = solve_instance(inst, spec)
             success = trace.final.relative_error <= spec.success_threshold
             if count_unidentifiable_groups(inst) == 0:
@@ -397,7 +397,7 @@ def test_init_robust_to_corruption_magnitude():
     keep_all = []
     for trial in range(spec.trials):
         seed = derive_seed(spec.base_seed, "init", c, p_fail, 1e4, trial)
-        inst = _make_instance(spec, c, p_fail, 1e4, seed)
+        inst = make_instance(spec, c, p_fail, 1e4, seed)
         moments = build_direction_matrices(inst, np.arange(inst.m))
         keep_all.append(
             direction_error(

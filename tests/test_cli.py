@@ -1,6 +1,7 @@
 """End-to-end CLI tests through ``main(argv)``: argument plumbing, the
 config-file layer, exit codes, and CSV side effects."""
 
+import numpy as np
 import pytest
 
 from bideconv.cli import main
@@ -118,6 +119,7 @@ class TestExitCodes:
             ["solve", "--pfail", "0.75", "--d1", "4", "--d2", "4"],
             ["solve", "--c", "two"],
             ["phase", "--trials", "0", "--d1", "4", "--d2", "4"],
+            ["solve", "--d1", "5,6"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):
@@ -151,6 +153,30 @@ class TestExitCodes:
         assert code == 1
         assert "runtime failure" in err and "diverged" in err
         assert "final relative error" not in out
+
+    @pytest.mark.parametrize("command", ["phase", "sweep-q"])
+    def test_divergent_experiment_exits_1(self, capsys, tmp_path, command):
+        out_file = tmp_path / "table.csv"
+        code, _, err = run(
+            capsys,
+            [
+                command,
+                *TINY,
+                "--solver",
+                "geometric",
+                "--lambda",
+                "1e300",
+                "--iters",
+                "5",
+                "--trials",
+                "2",
+                "--out",
+                str(out_file),
+            ],
+        )
+        assert code == 1
+        assert "runtime failure" in err and "diverged" in err and "instance seed" in err
+        assert not out_file.exists()
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -225,13 +251,49 @@ class TestExperimentCommands:
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 2  # header + |qs| * |cs|
 
-    def test_converge_prints_cell_medians(self, capsys):
+    def test_converge_prints_cell_medians(self, capsys, tmp_path):
+        out_file = tmp_path / "converge.csv"
         code, out, _ = run(
             capsys,
-            ["converge", *TINY, "--iters", "60", "--trials", "2"],
+            [
+                "converge",
+                *TINY,
+                "--c",
+                "4,6",
+                "--iters",
+                "60",
+                "--trials",
+                "3",
+                "--out",
+                str(out_file),
+            ],
         )
         assert code == 0
-        assert "median_final_error" in out
+        # recompute each cell's median of the trials' last-iteration errors
+        last: dict[tuple[str, str], tuple[int, float]] = {}
+        for line in out_file.read_text(encoding="utf-8").splitlines()[1:]:
+            config, statistic, value = line.split(",")
+            if statistic != "relative_error":
+                continue
+            *cell, trial, iteration = config.split(";")
+            key = (";".join(cell), trial)
+            k = int(iteration.split("=")[1])
+            if key not in last or k > last[key][0]:
+                last[key] = (k, float(value))
+        finals: dict[str, list[float]] = {}
+        for (cell, _), (_, value) in last.items():
+            finals.setdefault(cell, []).append(value)
+        assert sorted(len(v) for v in finals.values()) == [3, 3]
+        # cells are keyed by their c, the one coordinate that varies
+        expected = {
+            cell.split(";")[0]: f"{np.median(values):.10g}" for cell, values in finals.items()
+        }
+        printed = {
+            line.split(";")[0]: line.split(" = ")[1]
+            for line in out.splitlines()
+            if "median_final_error" in line
+        }
+        assert printed == expected
 
     def test_rip_probe_reports_constants(self, capsys):
         code, out, _ = run(capsys, ["rip-probe", *TINY, "--trials", "100"])

@@ -72,6 +72,7 @@ class TestExperimentSpec:
             {"init": "zeros"},
             {"success_threshold": 0.0},
             {"d1": 0},
+            {"left": "circulant"},
         ],
     )
     def test_validation(self, overrides):
