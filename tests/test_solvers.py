@@ -433,7 +433,7 @@ class TestConfigAndTrace:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_inner": 0}],
+        [{"max_inner": -1}, {"max_inner": -100_000}, {"max_inner": 0}],
     )
     def test_admm_config_validation(self, kwargs):
         with pytest.raises(ValueError):
