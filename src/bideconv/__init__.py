@@ -35,7 +35,6 @@ from .model import (
     objective_and_subgradient,
 )
 from .solvers import (
-    AdmmConfig,
     SolverConfig,
     Trace,
     geometric_subgradient,
@@ -47,7 +46,6 @@ from .spectral_init import InitEstimate, spectral_initialize
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmConfig",
     "DenseOperator",
     "DimensionError",
     "ExperimentSpec",

@@ -379,10 +379,6 @@ class LinearizedResidual:
     def shape(self) -> tuple[int, int]:
         return (self.m, self.d1 + self.d2)
 
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.left, DenseOperator) and isinstance(self.right, DenseOperator)
-
     def matvec(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.d1 + self.d2,):

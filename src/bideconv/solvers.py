@@ -9,19 +9,19 @@ linearly off the solution set) and weakly convex, so
   that value, and
 * the prox-linear method converges quadratically by solving a strongly convex
   least-absolute-deviation subproblem per iteration, which we do with a
-  graph-splitting ADMM where the only per-iteration costs are two operator
-  products and a cached linear solve.
+  semismooth Newton augmented Lagrangian method on the materialized
+  linearized map.  Each solve returns its duality gap, a certified bound on
+  its suboptimality, and hands its multipliers on to the next solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
     FeasibleRegion,
@@ -40,35 +40,8 @@ from .model import (
 )
 
 
-def quartering_tolerances(k: int) -> float:
-    """Inner tolerance 4^(-k) for the k-th outer iteration.
-
-    This is the default: the outer loop's final accuracy is capped by the
-    last inner tolerance (empirically about 0.2x of it), so halving alone
-    cannot push the outer error to 1e-8 within a 20-iteration budget, while
-    quartering reaches it with a comfortable margin.
-    """
-    return 4.0**-k
-
-
 # Objective decrease below which the stall counter does not reset.
 _STALL_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Knobs for the least-absolute-deviation inner solver.
-
-    The ADMM penalty is fixed at 1/m, the scaling that balances the 1/m
-    objective weight.
-    """
-
-    eps_schedule: Callable[[int], float] = quartering_tolerances
-    max_inner: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.max_inner < 1:
-            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +62,6 @@ class SolverConfig:
     region: FeasibleRegion | None = None
     tol_rel_err: float = 0.0
     stall_window: int | None = 50
-    admm: AdmmConfig = field(default_factory=AdmmConfig)
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -112,6 +84,7 @@ class TraceRecord:
     inner_iters: int = 0
     matvecs: int = 0
     inner_exhausted: bool = False
+    inner_gap: float = 0.0  # duality gap of the inner solve, prox-linear only
 
 
 @dataclass
@@ -165,6 +138,7 @@ class _RunState:
         step: float,
         inner_iters: int = 0,
         inner_exhausted: bool = False,
+        inner_gap: float = 0.0,
     ) -> None:
         self.trace.append(
             TraceRecord(
@@ -176,6 +150,7 @@ class _RunState:
                 inner_iters=inner_iters,
                 matvecs=self.counter.count,
                 inner_exhausted=inner_exhausted,
+                inner_gap=inner_gap,
             )
         )
 
@@ -217,7 +192,7 @@ def polyak_subgradient(
         min_value = cfg.min_value
 
     p = _project(start, cfg.region)
-    with count_matvecs() as counter:
+    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
         state = _RunState(inst, cfg, counter)
         f, grad = objective_and_subgradient(inst, p)
         state.record(0, p, f, step=0.0)
@@ -249,7 +224,7 @@ def geometric_subgradient(
     (before any projection), independent of the subgradient's magnitude.
     """
     p = _project(start, cfg.region)
-    with count_matvecs() as counter:
+    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
         state = _RunState(inst, cfg, counter)
         f, grad = objective_and_subgradient(inst, p)
         state.record(0, p, f, step=0.0)
@@ -272,205 +247,184 @@ def geometric_subgradient(
     return p, state.trace
 
 
-class AdmmResult(NamedTuple):
+class LadProxResult(NamedTuple):
     z: np.ndarray
-    iterations: int
+    iterations: int  # Newton steps
     exhausted: bool
-    objective: float
-    lam: np.ndarray  # final scaled duals, a warm start for a nearby subproblem
-    nu: np.ndarray
+    objective: float  # P(z)
+    gap: float  # P(z) - D(duals) >= 0, a bound on P(z) - min P
+    duals: tuple[np.ndarray, np.ndarray]  # (u, u2), a warm start for a nearby subproblem
 
 
-# Widest dense linearized map whose normal equations get a Cholesky factor.
-_DENSE_CUTOFF = 4096
+def _gap_tolerance(k: int) -> float:
+    """Duality-gap tolerance 1e-3 * 4^(-k) for the k-th prox-linear step.
+
+    The outer loop's final accuracy is capped by how well its last
+    subproblems were solved, so the tolerance tightens geometrically; at
+    quartering it stays ahead of the quadratic outer convergence within a
+    20-step budget.
+    """
+    return 1e-3 * 4.0**-k
 
 
-def _make_normal_solver(
-    amap: LinearizedResidual
-) -> Callable[[np.ndarray, np.ndarray | None, float], np.ndarray]:
-    """Solver for (I + A^T A) z = rhs: cached Cholesky when A is small and
-    dense, matrix-free conjugate gradient otherwise."""
-    n = amap.shape[1]
-    if amap.is_dense and n <= _DENSE_CUTOFF:
-        dense = amap.to_dense()
-        gram = dense.T @ dense
-        gram[np.diag_indices_from(gram)] += 1.0
-        factor = cho_factor(gram, lower=False)
-
-        def solve(rhs: np.ndarray, guess: np.ndarray | None, tol: float) -> np.ndarray:
-            # cho_factor already checked the matrix; skipping the scan of rhs
-            # leaves the same LAPACK solve at a lower per-call cost
-            return cho_solve(factor, rhs, check_finite=False)
-
-        return solve
-
-    operator = LinearOperator(
-        shape=(n, n),
-        matvec=lambda v: v + amap.rmatvec(amap.matvec(np.asarray(v, dtype=np.float64))),
-        dtype=np.float64,
-    )
-
-    def solve(rhs: np.ndarray, guess: np.ndarray | None, tol: float) -> np.ndarray:
-        out, info = cg(operator, rhs, x0=guess, rtol=tol, atol=0.0)
-        if info > 0:
-            # CG hit its internal cap; the partial solve still decreases the
-            # residual and the outer loop's stopping test remains in charge
-            return out
-        if info < 0:
-            raise RuntimeError(f"conjugate gradient failed with status {info}")
-        return out
-
-    return solve
-
-
-def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Elementwise shrink toward zero: sign(v) * max(|v| - threshold, 0)."""
-    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
-
-
-def _clip_balls(
-    z: np.ndarray, d1: int, radius: float, center: np.ndarray | None = None
-) -> np.ndarray:
-    """Project z blockwise onto two balls of the given radius, centred at
-    ``center`` (split like z into its first d1 and remaining entries) or at
-    the origin when ``center`` is None."""
-    out = z.copy() if center is None else z - center
-    for part in (out[:d1], out[d1:]):
-        norm = np.linalg.norm(part)
-        if norm > radius:
-            part *= radius / norm
-    return out if center is None else out + center
+# Augmented-Lagrangian penalty growth per multiplier update; each solve
+# starts the penalty at 1/m, the scale of the 1/m objective weight.
+_SIGMA_GROWTH = 5.0
+# Newton steps one LAD-prox solve may take before it reports exhaustion.
+_MAX_NEWTON = 200
 
 
 def admm_lad_prox(
     amap: LinearizedResidual,
     y_tilde: np.ndarray,
     beta: float,
-    cfg: AdmmConfig,
     region: FeasibleRegion | None = None,
-    eps: float = 1e-6,
+    eps: float = 1e-8,
     center: np.ndarray | None = None,
     duals: tuple[np.ndarray, np.ndarray] | None = None,
-) -> AdmmResult:
-    """Graph-splitting ADMM for min (1/m)||Az - y~||_1 + (beta/2)||z||^2.
+) -> LadProxResult:
+    """Semismooth Newton augmented Lagrangian (SSNAL; Li, Sun & Toh, SIAM J.
+    Optim. 2018) for min P(z) = (beta/2)||z||^2 + (1/m)||Az - y~||_1.
 
-    The consensus constraint t = Az is enforced through the half-step
+    With ``region``, z is also confined to two balls of its radius around
+    ``center`` (split like z into its first d1 and remaining entries; the
+    origin when None).  The constraints t = Az - y~ and s = z carry the
+    multipliers u and u2.  With v = Az - y~ + u/sigma and w = z + u2/sigma,
+    each penalty sigma minimizes
 
-        z+ = (I + A^T A)^{-1} (z' + lam + A^T (t' + nu)),   t+ = A z+,
+        phi(z) = (beta/2)||z||^2 + sigma Huber_{1/(m sigma)}(v)
+                 + (sigma/2) dist(w, balls)^2
 
-    so each iteration costs one forward and one transpose product plus a
-    cached factorization solve.  Both prox steps are closed-form: the z-prox
-    is the scalar shrink rho/(beta+rho) followed by an exact projection onto
-    ``region``'s two balls, centred at ``center`` (the origin by default),
-    and the t-prox is soft-thresholding toward y~ with threshold 1/(m*rho),
-    where the penalty rho is 1/m.
-    Termination follows the paired primal/dual residual tests scaled by
-    sqrt(d1+d2) + the running iterate norms.
+    by Newton steps on beta I + sigma A_J^T A_J (+ sigma times the generalized
+    Jacobian of w - proj(w)), J = {|v_i| < 1/(m sigma)}, with Armijo
+    backtracking, until ||grad phi|| <= eps; then u = sigma clip(v, +-1/(m
+    sigma)), u2 = sigma (w - proj(w)) and sigma grows.  Each update keeps
+    (u, u2) dual feasible, so the gap P(z) - D(u, u2), with
 
-    z and t start at zero; the scaled duals (lam, nu) start at ``duals``, or
-    at zero when None.  The result carries the final duals, so a sequence of
-    nearby subproblems can pass each solve's duals on to the next.
+        D = -<u, y~> - ||A^T u + u2||^2/(2 beta) - sum_b (r||u2_b|| + <c_b, u2_b>),
+
+    bounds P(z) - min P; the solve stops once it is at most ``eps`` and
+    reports exhaustion when the Newton-step cap comes first.  P and the gap
+    are evaluated at z projected onto the balls, which is what it returns.
+
+    The map is materialized once (``amap.to_dense()``), so the solve makes no
+    operator products.  z starts at zero and (u, u2) at ``duals`` (zero when
+    None); the result carries the final multipliers for the next solve.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    m = amap.m
-    n = amap.shape[1]
-    rho = 1.0 / m
-    shrink = rho / (beta + rho)
-    threshold = 1.0 / (m * rho)
-    scale = math.sqrt(n)
+    a_mat = amap.to_dense()
+    m, n = a_mat.shape
+    d1 = amap.d1
     clip = region is not None and not math.isinf(region.radius)
+    center = np.zeros(n) if center is None else center
+    u, u2 = (np.zeros(m), np.zeros(n)) if duals is None else duals
+    blocks = (slice(0, d1), slice(d1, n))
 
-    solve = _make_normal_solver(amap)
+    def project(w: np.ndarray) -> np.ndarray:
+        if not clip:
+            return w
+        pair = project_feasible(SignalPair.from_stacked(w - center, d1), region)
+        return pair.stacked() + center
+
+    def phi(z: np.ndarray, sigma: float):
+        """Value (up to a constant), gradient, clipped residual and ball point."""
+        t = a_mat @ z - y_tilde
+        cap = np.clip(sigma * t + u, -1.0 / m, 1.0 / m)  # sigma clip(v, +-tau)
+        w = z + u2 / sigma
+        out = w - project(w)
+        value = 0.5 * beta * z @ z + cap @ (t + (u - 0.5 * cap) / sigma) + 0.5 * sigma * out @ out
+        return value, beta * z + a_mat.T @ cap + sigma * out, cap, w
 
     z = np.zeros(n)
-    t = np.zeros(m)
-    lam, nu = (np.zeros(n), np.zeros(m)) if duals is None else duals
-
-    def lad_objective(point: np.ndarray, mapped: np.ndarray) -> float:
-        return float(np.abs(mapped - y_tilde).mean() + 0.5 * beta * point @ point)
-
-    best_z = z
-    best_obj = lad_objective(z, t)
-    iterations = 0
-    exhausted = True
-    for iterations in range(1, cfg.max_inner + 1):
-        z_half = shrink * (z - lam)
+    sigma = 1.0 / m
+    newton = 0
+    converged = False
+    for _ in range(_MAX_NEWTON):  # multiplier updates, capped too so no solve can spin
+        value, grad, cap, w = phi(z, sigma)
+        while newton < _MAX_NEWTON and float(np.linalg.norm(grad)) > eps:
+            rows = a_mat[np.abs(cap) < 1.0 / m]
+            hess = sigma * (rows.T @ rows)
+            hess[np.diag_indices(n)] += beta
+            if clip:
+                for part in blocks:
+                    q = w[part] - center[part]
+                    norm = float(np.linalg.norm(q))
+                    if norm > region.radius:
+                        ratio = region.radius / norm
+                        hess[part, part] += sigma * (
+                            (1.0 - ratio) * np.eye(q.size) + ratio / norm**2 * np.outer(q, q)
+                        )
+            step = -cho_solve(cho_factor(hess), grad, check_finite=False)
+            slope = float(grad @ step)
+            alpha = 1.0
+            trial = phi(z + step, sigma)
+            while trial[0] > value + 1e-4 * alpha * slope and alpha > 1e-12:  # Armijo
+                alpha *= 0.5
+                trial = phi(z + alpha * step, sigma)
+            z = z + alpha * step
+            value, grad, cap, w = trial
+            newton += 1
+        u, u2 = cap, sigma * (w - project(w))
+        feasible = project(z)
+        dual_z = a_mat.T @ u + u2  # -beta times the dual's z
+        dual = -u @ y_tilde - dual_z @ dual_z / (2.0 * beta)
         if clip:
-            z_half = _clip_balls(z_half, amap.d1, region.radius, center)
-        t_half = y_tilde + soft_threshold(t - nu - y_tilde, threshold)
-
-        v = z_half + lam
-        w_vec = t_half + nu
-        z_next = solve(v + amap.rmatvec(w_vec), z, 0.1 * eps)
-        t_next = amap.matvec(z_next)
-        lam_next = lam + z_half - z_next
-        nu_next = nu + t_half - t_next
-
-        obj = lad_objective(z_next, t_next)
-        if obj < best_obj:
-            best_obj = obj
-            best_z = z_next
-
-        primal = math.hypot(
-            float(np.linalg.norm(z_next - z)), float(np.linalg.norm(t_next - t))
-        )
-        primal_cap = eps * (
-            scale + max(float(np.linalg.norm(z)), float(np.linalg.norm(t)))
-        )
-        dual = math.hypot(
-            float(np.linalg.norm(lam_next - lam)), float(np.linalg.norm(nu_next - nu))
-        )
-        dual_cap = eps * (
-            scale + max(float(np.linalg.norm(lam)), float(np.linalg.norm(nu)))
-        )
-        z, t, lam, nu = z_next, t_next, lam_next, nu_next
-        if primal <= primal_cap and dual <= dual_cap:
-            exhausted = False
+            dual -= sum(
+                region.radius * np.linalg.norm(u2[part]) + center[part] @ u2[part]
+                for part in blocks
+            )
+        residual = a_mat @ feasible - y_tilde
+        objective = float(0.5 * beta * feasible @ feasible + np.abs(residual).mean())
+        # weak duality makes the gap nonnegative; clamp what rounding leaves below
+        gap = max(objective - float(dual), 0.0)
+        if gap <= eps:
+            converged = True
             break
-
-    if clip:
-        # the half-step iterate is the feasible one; return its latest value
-        best_z = _clip_balls(z, amap.d1, region.radius, center)
-        best_obj = lad_objective(best_z, amap.matvec(best_z))
-    return AdmmResult(
-        z=best_z, iterations=iterations, exhausted=exhausted, objective=best_obj, lam=lam, nu=nu
+        if newton == _MAX_NEWTON:
+            break
+        sigma *= _SIGMA_GROWTH
+    return LadProxResult(
+        z=feasible,
+        iterations=newton,
+        exhausted=not converged,
+        objective=objective,
+        gap=gap,
+        duals=(u, u2),
     )
 
 
 def prox_linear(
     inst: ProblemInstance, start: SignalPair, cfg: SolverConfig
 ) -> tuple[SignalPair, Trace]:
-    """Outer prox-linear loop with ADMM-solved linearized subproblems.
+    """Outer prox-linear loop with SSNAL-solved linearized subproblems.
 
-    Each outer iteration linearizes the bilinear map at the current point and
-    minimizes model + (beta/2)||displacement||^2 to tolerance
-    ``cfg.admm.eps_schedule(k)``; the displacement is added to the point.
+    Each outer iteration k linearizes the bilinear map at the current point
+    and minimizes model + (beta/2)||displacement||^2 until the duality gap is
+    at most ``_gap_tolerance(k)``; the displacement is added to the point.
     With ``cfg.region`` the displacement is confined so that the new point
     stays in the region.  Each inner solve starts from the previous one's
-    final duals (zero for the first): successive linearizations share most of
-    the LAD subgradient's sign pattern, which the duals carry.  Inner
-    exhaustion is flagged on the trace and the best inner iterate is used.
+    final multipliers (zero for the first): successive linearizations share
+    most of the LAD subgradient's sign pattern, which the multipliers carry.
+    The trace records each solve's Newton steps, gap and exhaustion.
     """
     p = _project(start, cfg.region)
     duals = None
-    with count_matvecs() as counter:
+    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
         state = _RunState(inst, cfg, counter)
         amap, y_tilde = linearized_residual_operator(inst, p)
         state.record(0, p, float(np.abs(y_tilde).mean()), step=0.0)
         for k in range(1, cfg.max_iters + 1):
-            eps_k = cfg.admm.eps_schedule(k)
             result = admm_lad_prox(
                 amap,
                 y_tilde,
-                beta=cfg.prox_beta,
-                cfg=cfg.admm,
+                cfg.prox_beta,
                 region=cfg.region,
-                eps=eps_k,
+                eps=_gap_tolerance(k),
                 center=-np.concatenate([p.w, p.x]),
                 duals=duals,
             )
-            duals = (result.lam, result.nu)
+            duals = result.duals
             p = SignalPair(w=p.w + result.z[: inst.d1], x=p.x + result.z[inst.d1 :])
             amap, y_tilde = linearized_residual_operator(inst, p)
             state.record(
@@ -480,6 +434,7 @@ def prox_linear(
                 step=float(np.linalg.norm(result.z)),
                 inner_iters=result.iterations,
                 inner_exhausted=result.exhausted,
+                inner_gap=result.gap,
             )
             if state.should_stop(k, state.trace.final.objective):
                 break

@@ -6,9 +6,7 @@ from pathlib import Path
 # Make the oracle helpers importable as a plain module from any test file.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-# Verdict lines recorded by the acceptance tests; echoed after the run so they
-# survive output capture.
-VERDICTS: list[str] = []
+from verdicts import VERDICTS  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -219,6 +219,35 @@ def exact_lad_prox_2d(a_mat: np.ndarray, y_tilde: np.ndarray, beta: float) -> np
     return _best_candidate(a, y_tilde, beta, np.array(cands))
 
 
+def exact_lad_prox_box(
+    a_mat: np.ndarray, y_tilde: np.ndarray, beta: float, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Exact minimizer of the 2-variable LAD-prox objective over lo <= z <= hi.
+
+    The objective is convex, so when its unconstrained minimizer lies outside
+    the box the constrained one lies on an edge.  Along an edge the objective
+    is a 1-D LAD prox in the free coordinate (plus a constant), whose exact
+    minimizer clipped to the edge is the edge's best point; the best of the
+    four edges is the answer.
+    """
+    a = np.asarray(a_mat, dtype=np.float64)
+    free = exact_lad_prox_2d(a, y_tilde, beta)
+    if np.all(lo <= free) and np.all(free <= hi):
+        return free
+    cands = []
+    for fixed, other in ((0, 1), (1, 0)):
+        for value in (lo[fixed], hi[fixed]):
+            z = np.empty(2)
+            z[fixed] = value
+            z[other] = np.clip(
+                exact_lad_prox_1d(a[:, [other]], y_tilde - a[:, fixed] * value, beta),
+                lo[other],
+                hi[other],
+            )
+            cands.append(z)
+    return _best_candidate(a, y_tilde, beta, np.array(cands))
+
+
 def grid_lad_prox_2d(
     a_mat: np.ndarray,
     y_tilde: np.ndarray,

@@ -14,8 +14,7 @@ import time
 import numpy as np
 
 import pytest
-
-import conftest
+from verdicts import VERDICTS
 
 from bideconv.experiments import (
     ExperimentSpec,
@@ -36,7 +35,6 @@ from bideconv.model import (
     objective_and_subgradient,
 )
 from bideconv.solvers import (
-    AdmmConfig,
     SolverConfig,
     admm_lad_prox,
     geometric_subgradient,
@@ -63,7 +61,7 @@ def report(name: str, passed: bool, detail: str) -> None:
     """One always-visible verdict line per criterion."""
     verdict = "PASS" if passed else "FAIL"
     line = f"[{verdict}] {name}: {detail}"
-    conftest.VERDICTS.append(line)
+    VERDICTS.append(line)
     print(line, flush=True)
 
 
@@ -282,7 +280,7 @@ def test_components_match_oracles():
         slow = grid_dist_to_solution_set(p.w, p.x, truth.w_bar, truth.x_bar, sol.nu)
         dist_dev = max(dist_dev, abs(fast - slow))
 
-    # (b) ADMM LAD prox vs exact minimizer enumeration, 50 scalar + 50 planar
+    # (b) LAD prox vs exact minimizer enumeration, 50 scalar + 50 planar
     admm_dev = 0.0
     for i in range(50):
         m = 5 + (i % 4)
@@ -296,7 +294,7 @@ def test_components_match_oracles():
         )
         y_tilde = rng.standard_normal(m)
         beta = float(rng.uniform(0.4, 2.5))
-        got = admm_lad_prox(amap, y_tilde, beta, AdmmConfig(), eps=1e-8)
+        got = admm_lad_prox(amap, y_tilde, beta, eps=1e-8)
         want = exact_lad_prox_1d(amap.to_dense()[:, :1], y_tilde, beta)
         admm_dev = max(admm_dev, abs(float(got.z[0]) - want), abs(float(got.z[1])))
     for i in range(50):
@@ -309,7 +307,7 @@ def test_components_match_oracles():
         )
         y_tilde = rng.standard_normal(m)
         beta = float(rng.uniform(0.4, 2.5))
-        got = admm_lad_prox(amap, y_tilde, beta, AdmmConfig(), eps=1e-8)
+        got = admm_lad_prox(amap, y_tilde, beta, eps=1e-8)
         want = exact_lad_prox_2d(amap.to_dense(), y_tilde, beta)
         admm_dev = max(admm_dev, float(np.max(np.abs(got.z - want))))
 
