@@ -95,8 +95,7 @@ def _companion_real_roots(a: np.ndarray, b: float, c: np.ndarray, e: float) -> n
     comp[:, 2, 1] = 1.0
     comp[:, 3, 2] = 1.0
     comp[:, 0, 3] = e / b
-    comp[:, 1, 3] = -c / b
-    comp[:, 2, 3] = 0.0
+    comp[:, 1, 3] = -c / b  # comp[:, 2, 3], the t^2 coefficient, stays zero
     comp[:, 3, 3] = a / b
     return np.linalg.eigvals(comp).real
 
@@ -165,10 +164,8 @@ def dist_to_solution_set_many(
     return np.sqrt(_dist_squared_many(w_stack, x_stack, sol.truth, sol.nu))
 
 
-def _matrix_error_squared_many(
-    w_stack: np.ndarray, x_stack: np.ndarray, truth: GroundTruth
-) -> np.ndarray:
-    """||w x^T - w_bar x_bar^T||_F^2 batched, never materializing outer products.
+def _matrix_error_squared_many(w: np.ndarray, x: np.ndarray, truth: GroundTruth) -> np.ndarray:
+    """||w x^T - w_bar x_bar^T||_F^2 for one pair, or batched over rows of stacks.
 
     With alpha = <w, w_bar> / ||w_bar||^2 the error splits into
     w_bar (alpha x - x_bar)^T + (w - alpha w_bar) x^T, two rank-one parts that
@@ -178,16 +175,15 @@ def _matrix_error_squared_many(
     """
     w_bar = truth.w_bar
     b = w_bar @ w_bar
-    alpha = (w_stack @ w_bar)[:, None] / b
-    dw = w_stack - alpha * w_bar
-    dx = alpha * x_stack - truth.x_bar
-    return b * (dx * dx).sum(axis=1) + (dw * dw).sum(axis=1) * (x_stack * x_stack).sum(axis=1)
+    alpha = (w @ w_bar)[..., None] / b
+    dw = w - alpha * w_bar
+    dx = alpha * x - truth.x_bar
+    return b * (dx * dx).sum(axis=-1) + (dw * dw).sum(axis=-1) * (x * x).sum(axis=-1)
 
 
 def relative_error(p: SignalPair, truth: GroundTruth) -> float:
     """||w x^T - w_bar x_bar^T||_F / ||w_bar x_bar^T||_F via inner products."""
-    err2 = _matrix_error_squared_many(p.w[None, :], p.x[None, :], truth)
-    return float(np.sqrt(err2[0]) / truth.magnitude)
+    return float(np.sqrt(_matrix_error_squared_many(p.w, p.x, truth)) / truth.magnitude)
 
 
 @dataclass(frozen=True)

@@ -212,10 +212,13 @@ class HadamardSignOperator:
         """Materialize the requested rows: row j of block b is (h_j ⊙ s_b)[:input_dim]."""
         idx = np.asarray(indices, dtype=np.intp)
         block, j = np.divmod(idx, self.dim)
-        basis = np.zeros((idx.size, self.dim))
-        basis[np.arange(idx.size), j] = 1.0
-        h_rows = fwht(basis, self.normalized)
-        return (h_rows * self.sign_diagonals[block])[:, : self.input_dim]
+        bits = j[:, None] & np.arange(self.input_dim)  # H[j, c] = (-1)^popcount(j & c)
+        for shift in (1, 2, 4, 8, 16, 32):  # fold the parity of all 64 bits into bit 0
+            bits ^= bits >> shift
+        h_rows = 1.0 - 2.0 * (bits & 1)
+        if self.normalized:
+            h_rows *= 1.0 / math.sqrt(self.dim)
+        return h_rows * self.sign_diagonals[block, : self.input_dim]
 
     def to_dense(self) -> np.ndarray:
         return self.rows(np.arange(self.m))

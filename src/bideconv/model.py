@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Literal, Union
 
@@ -95,7 +96,7 @@ class GroundTruth:
         object.__setattr__(self, "w_bar", w)
         object.__setattr__(self, "x_bar", x)
 
-    @property
+    @cached_property
     def magnitude(self) -> float:
         """``norm(w_bar x_bar^T)_F``, the size of the planted matrix."""
         return float(np.linalg.norm(self.w_bar) * np.linalg.norm(self.x_bar))

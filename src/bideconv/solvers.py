@@ -25,8 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import (
     FeasibleRegion,
-    SolutionSet,
-    dist_to_solution_set,
+    dist_to_solution_set,  # unused here; the benchmark's tracer wraps it by this name
     project_feasible,
     relative_error,
 )
@@ -79,7 +78,6 @@ class TraceRecord:
     iteration: int
     objective: float
     relative_error: float
-    dist_to_solset: float
     step_size: float
     inner_iters: int = 0
     matvecs: int = 0
@@ -119,10 +117,13 @@ class Trace:
 
 
 class _RunState:
-    """Bookkeeping shared by the iterative solvers: metrics, stall, tolerance."""
+    """Bookkeeping shared by the iterative solvers: records, stall, tolerance.
+
+    Records carry the relative error that ``tol_rel_err`` reads, not the
+    distance to the solution set: ``dist_to_solution_set`` gives it on demand.
+    """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, counter: MatvecCounter):
-        self.solset = SolutionSet(truth=inst.truth, nu=inst.nu)
         self.inst = inst
         self.cfg = cfg
         self.counter = counter
@@ -145,7 +146,6 @@ class _RunState:
                 iteration=k,
                 objective=objective,
                 relative_error=relative_error(p, self.inst.truth),
-                dist_to_solset=dist_to_solution_set(p, self.solset),
                 step_size=step,
                 inner_iters=inner_iters,
                 matvecs=self.counter.count,

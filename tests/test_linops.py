@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,11 +156,20 @@ class TestHadamardSignOperator:
         np.testing.assert_allclose(np.abs(dense), np.full_like(dense, 1.0 / 4.0), atol=1e-12)
 
     def test_rows_match_dense(self):
-        rng = np.random.default_rng(8)
-        op = random_hadamard_op(rng, 3, 8, 5)
-        dense = op.to_dense()
-        idx = np.array([0, 7, 8, 17, 23])
-        np.testing.assert_allclose(op.rows(idx), dense[idx], atol=1e-12)
+        # against an oracle independent of the operator's own formula: SciPy's
+        # Sylvester matrix times each sign block, at random unsorted indices;
+        # the last case is the benchmark's partial-Hadamard shape
+        cases = [(1, 8, 8, False), (3, 8, 5, True), (2, 16, 16, True), (4, 32, 7, False), (1, 1024, 64, False)]
+        for k, d, input_dim, normalized in cases:
+            rng = np.random.default_rng(k * 1000 + d)
+            op = random_hadamard_op(rng, k, d, input_dim, normalized)
+            h = scipy.linalg.hadamard(d).astype(np.float64)
+            if normalized:
+                h *= 1.0 / math.sqrt(d)
+            dense = np.vstack([h * signs for signs in op.sign_diagonals])[:, :input_dim]
+            idx = rng.permutation(op.m)[: max(3, op.m // 3)]
+            np.testing.assert_array_equal(op.rows(idx), dense[idx])
+            np.testing.assert_array_equal(op.to_dense(), dense)
 
     @given(
         st.integers(min_value=1, max_value=4),

@@ -16,7 +16,13 @@ from oracles import (
 )
 
 from bideconv import solvers
-from bideconv.geometry import FeasibleRegion, SolutionSet, dist_to_solution_set, relative_error
+from bideconv.geometry import (
+    FeasibleRegion,
+    SolutionSet,
+    _matrix_error_squared_many,
+    dist_to_solution_set,
+    relative_error,
+)
 from bideconv.linops import DenseOperator, count_matvecs
 from bideconv.model import (
     LinearizedResidual,
@@ -120,12 +126,22 @@ class TestPolyak:
         # with the exact minimal value, every step moves no farther from the
         # solution set while the start is near the basin; below ~1e-7 the
         # distance formula's own cancellation noise dominates, so the
-        # comparison only makes sense above that floor
+        # comparison only makes sense above that floor.  A Polyak step carries
+        # no state, so single steps from the previous point retrace a long run
+        # and the distance is measured between them.
         for seed in range(8):
             inst = generate_instance(6, 6, 96, seed=100 + seed)
-            cfg = SolverConfig(max_iters=60, tol_rel_err=1e-9)
-            _, trace = polyak_subgradient(inst, perturbed_start(inst, 0.05, seed), cfg)
-            dists = trace.column("dist_to_solset")
+            sol = SolutionSet(truth=inst.truth, nu=inst.nu)
+            p = perturbed_start(inst, 0.05, seed)
+            dists = [dist_to_solution_set(p, sol)]
+            for _ in range(60):
+                p, trace = polyak_subgradient(inst, p, SolverConfig(max_iters=1))
+                if trace.final.iteration == 0:
+                    break  # stationary
+                dists.append(dist_to_solution_set(p, sol))
+                if trace.final.relative_error <= 1e-9:
+                    break
+            assert len(dists) > 2
             for before, after in zip(dists, dists[1:]):
                 assert after <= max(before + 1e-10, 1e-7)
 
@@ -465,16 +481,37 @@ class TestProxLinear:
 class TestConfigAndTrace:
     def test_trace_rejects_nonmonotone_iterations(self):
         trace = Trace(max_iters=5)
-        trace.append(TraceRecord(0, 1.0, 1.0, 1.0, 0.0))
+        trace.append(TraceRecord(0, 1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="increasing"):
-            trace.append(TraceRecord(0, 0.5, 0.5, 0.5, 0.1))
+            trace.append(TraceRecord(0, 0.5, 0.5, 0.1))
 
     def test_trace_rejects_overflow(self):
         trace = Trace(max_iters=1)
-        trace.append(TraceRecord(0, 1.0, 1.0, 1.0, 0.0))
-        trace.append(TraceRecord(1, 0.5, 0.5, 0.5, 0.1))
+        trace.append(TraceRecord(0, 1.0, 1.0, 0.0))
+        trace.append(TraceRecord(1, 0.5, 0.5, 0.1))
         with pytest.raises(ValueError, match="max_iters"):
-            trace.append(TraceRecord(2, 0.2, 0.2, 0.2, 0.1))
+            trace.append(TraceRecord(2, 0.2, 0.2, 0.1))
+
+    @pytest.mark.parametrize(
+        "solver", [geometric_subgradient, prox_linear], ids=["geometric", "prox_linear"]
+    )
+    def test_recorded_relative_error_matches_batched_form(self, solver, monkeypatch):
+        # the per-iterate single-pair relative error and the batched form the
+        # landscape scans use must agree to the bit on every visited iterate
+        visited = []
+
+        def recording(p, truth):
+            visited.append(p)
+            return relative_error(p, truth)
+
+        monkeypatch.setattr(solvers, "relative_error", recording)
+        inst = generate_instance(10, 10, 160, noise=NoiseSpec.gaussian(0.2), seed=41)
+        cfg = SolverConfig(max_iters=40 if solver is geometric_subgradient else 6, stall_window=None)
+        _, trace = solver(inst, perturbed_start(inst, 0.2, 42), cfg)
+        assert len(visited) == len(trace.records) > 2
+        for p, record in zip(visited, trace.records):
+            err2 = _matrix_error_squared_many(p.w[None, :], p.x[None, :], inst.truth)
+            assert record.relative_error == float(np.sqrt(err2[0]) / inst.truth.magnitude)
 
     @pytest.mark.parametrize(
         "kwargs",
