@@ -6,10 +6,11 @@ realizations of the row stacks L and R used throughout the package:
 
 * :class:`DenseOperator` — an explicit m×d matrix.
 * :class:`HadamardSignOperator` — a stack of Hadamard-times-sign blocks
-  ``[H S_1; ...; H S_k]`` whose products run in O(m log d) via the fast
-  Walsh-Hadamard transform, covering both the deterministic partial-Hadamard
-  construction (keep the first ``input_dim`` columns, unnormalized, columns
-  of norm sqrt(m)) and the normalized randomized-sign stacks.
+  ``[H S_1; ...; H S_k]`` whose products run in O(m log n), n the smallest
+  power of two >= ``input_dim``, via the fast Walsh-Hadamard transform, for
+  the deterministic partial-Hadamard construction (keep the first
+  ``input_dim`` columns, unnormalized, columns of norm sqrt(m)) and the
+  normalized randomized-sign stacks.
 
 A :class:`MeasurementOperator` pairs one left and one right side sharing the
 same number of rows.  All operators are immutable and their products are
@@ -73,27 +74,31 @@ def _tick_matvec() -> None:
 def fwht(v: np.ndarray, normalized: bool = False) -> np.ndarray:
     """Multiply by the symmetric Hadamard matrix along the last axis.
 
-    Iterative in-place butterfly, O(d log d) per vector.  With
-    ``normalized=True`` the result is scaled by 1/sqrt(d), which makes the
-    transform an involution and an isometry; the unnormalized variant is the
-    plain ±1 (Sylvester-ordered) Hadamard product.
+    Constant-geometry (Pease) butterfly, O(d log d) per vector: stage s adds
+    and subtracts adjacent pairs, which hold the entries whose indices differ
+    in bit s, into the halves of the other buffer.  Every output is the same
+    sum over the same tree as in the in-place radix-2 butterfly, to the last
+    bit.  With ``normalized=True`` the result is scaled by 1/sqrt(d), which
+    makes the transform an involution and an isometry; the unnormalized
+    variant is the plain ±1 (Sylvester-ordered) Hadamard product.
 
     Accepts any array whose last axis has power-of-two length; leading axes
     are treated as a batch.
     """
-    a = np.array(v, dtype=np.float64)  # always copies, also promotes ints
+    a = np.array(v, dtype=np.float64, order="C")  # always copies, also promotes ints
     d = a.shape[-1]
     if d < 1 or (d & (d - 1)) != 0:
         raise DimensionError(f"fwht length must be a power of two, got {d}")
-    h = 1
-    while h < d:
-        view = a.reshape(a.shape[:-1] + (d // (2 * h), 2, h))
-        top = view[..., 0, :]
-        bot = view[..., 1, :]
-        diff = top - bot
-        top += bot
-        bot[...] = diff
-        h *= 2
+    pair = (a, np.empty_like(a))
+    flat = [x.reshape(d) if x.size == d else x.reshape(-1, d) for x in pair]  # 1-D is faster
+    h = d // 2
+    views = [(x[..., 0::2], x[..., 1::2], y[..., :h], y[..., h:]) for x, y in (flat, flat[::-1])]
+    stages = d.bit_length() - 1
+    for s in range(stages):
+        even, odd, sums, diffs = views[s % 2]
+        np.add(even, odd, out=sums)
+        np.subtract(even, odd, out=diffs)
+    a = pair[stages % 2]
     if normalized:
         a *= 1.0 / math.sqrt(d)
     return a
@@ -157,8 +162,9 @@ class HadamardSignOperator:
     ``normalized=False`` (the partial-Hadamard convention) the entries are ±1
     and the stacked columns are orthogonal with norm sqrt(m); with
     ``normalized=True`` H carries a 1/sqrt(dim) factor.  A single all-plus
-    block is exactly the deterministic partial Hadamard matrix: the forward
-    product zero-pads its input to ``dim`` and applies one FWHT.
+    block is exactly the deterministic partial Hadamard matrix.  Products
+    run FWHTs of length n (the smallest power of two >= ``input_dim``) and
+    skip the top stages, which on zero-padded inputs would only add zeros.
     """
 
     sign_diagonals: np.ndarray
@@ -195,18 +201,27 @@ class HadamardSignOperator:
     def apply_forward(self, v: np.ndarray) -> np.ndarray:
         v = _as_vector(v, self.input_dim, "input")
         _tick_matvec()
-        padded = np.zeros(self.dim)
+        n = 1 << (self.input_dim - 1).bit_length()  # smallest power of two >= input_dim
+        padded = np.zeros(n)
         padded[: self.input_dim] = v
-        # L v = H (S_b v) blockwise; one batched FWHT over all blocks.
-        return fwht(self.sign_diagonals * padded, self.normalized).ravel()
+        # L v = H (S_b v) blockwise, which is H_n (S_b v) tiled dim/n times
+        blocks = fwht(self.sign_diagonals[:, :n] * padded)
+        if self.normalized:
+            blocks *= 1.0 / math.sqrt(self.dim)
+        return np.tile(blocks, self.dim // n).ravel()
 
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
         u = _as_vector(u, self.m, "input")
         _tick_matvec()
-        blocks = u.reshape(self.block_count, self.dim)
-        # (H S_b)^T u_b = S_b H u_b since H is symmetric.
-        full = (self.sign_diagonals * fwht(blocks, self.normalized)).sum(axis=0)
-        return full[: self.input_dim]
+        # (H S_b)^T u_b = S_b H u_b since H is symmetric.  Only its first n entries
+        # are kept: the top stages of H_dim just sum adjacent length-n parts.
+        n = 1 << (self.input_dim - 1).bit_length()
+        parts = fwht(u.reshape(-1, n))
+        while parts.shape[0] > self.block_count:
+            parts = parts[0::2] + parts[1::2]
+        if self.normalized:
+            parts *= 1.0 / math.sqrt(self.dim)
+        return (self.sign_diagonals[:, :n] * parts).sum(axis=0)[: self.input_dim]
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Materialize the requested rows: row j of block b is (h_j ⊙ s_b)[:input_dim]."""
@@ -251,10 +266,6 @@ class MeasurementOperator:
     @property
     def d2(self) -> int:
         return self.right.input_dim
-
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.left, DenseOperator) and isinstance(self.right, DenseOperator)
 
     def bilinear_forward(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Measurements of the rank-one matrix w xᵀ: (Lw) ⊙ (Rx), never materialized."""

@@ -327,8 +327,9 @@ def objective_and_subgradient(inst: ProblemInstance, p: SignalPair) -> tuple[flo
     computed with exactly four operator products: the two forward products
     feed both the value and the weighting of the two transpose products.
     """
-    lw = inst.op.left.apply_forward(p.w)
+    # R, L, L^T, R^T: the next call starts with R, so each side is read twice in a row
     rx = inst.op.right.apply_forward(p.x)
+    lw = inst.op.left.apply_forward(p.w)
     resid = lw * rx - inst.y
     sign = np.sign(resid)
     scale = 1.0 / inst.m

@@ -1,10 +1,11 @@
 """Slow-but-obviously-correct reference implementations used to pin test expectations.
 
 Everything here is deliberately independent of the package internals: the
-Hadamard matrix comes from the bit-count closed form, distances from dense
-grid scans, gradients from central finite differences, and subproblem
-solutions from brute-force grids.  Tests freeze values produced by these
-oracles or compare against them live.
+Hadamard matrix comes from the bit-count closed form, fast Hadamard products
+from the textbook in-place butterfly over zero-padded full-length blocks,
+distances from dense grid scans, gradients from central finite differences,
+and subproblem solutions from brute-force grids.  Tests freeze values
+produced by these oracles or compare against them live.
 """
 
 from __future__ import annotations
@@ -28,6 +29,42 @@ def dense_hadamard(d: int, normalized: bool = False) -> np.ndarray:
     if normalized:
         h = h / np.sqrt(d)
     return h
+
+
+def fwht_butterfly(v: np.ndarray, normalized: bool = False) -> np.ndarray:
+    """Fast Walsh-Hadamard transform by the in-place radix-2 butterfly.
+
+    Stage h combines the entries whose indices differ in the bit of value h,
+    from the lowest bit up, over the last axis.  The package's transform sums
+    over the same addition tree, so it must equal this one to the last bit.
+    """
+    a = np.array(v, dtype=np.float64)
+    d = a.shape[-1]
+    h = 1
+    while h < d:
+        view = a.reshape(a.shape[:-1] + (d // (2 * h), 2, h))
+        top = view[..., 0, :]
+        bot = view[..., 1, :]
+        diff = top - bot
+        top += bot
+        bot[...] = diff
+        h *= 2
+    if normalized:
+        a *= 1.0 / np.sqrt(d)
+    return a
+
+
+def hadamard_forward_full(signs: np.ndarray, input_dim: int, normalized: bool, v: np.ndarray) -> np.ndarray:
+    """[H S_1; ...; H S_k] v: v zero-padded to the full block length, one full-length FWHT."""
+    padded = np.zeros(signs.shape[1])
+    padded[:input_dim] = v
+    return fwht_butterfly(signs * padded, normalized).ravel()
+
+
+def hadamard_transpose_full(signs: np.ndarray, input_dim: int, normalized: bool, u: np.ndarray) -> np.ndarray:
+    """[H S_1; ...; H S_k]^T u: a full-length FWHT of each block, then its first input_dim entries."""
+    blocks = fwht_butterfly(u.reshape(signs.shape), normalized)
+    return (signs * blocks).sum(axis=0)[:input_dim]
 
 
 def grid_dist_to_solution_set(

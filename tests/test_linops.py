@@ -16,7 +16,20 @@ from bideconv.linops import (
     count_matvecs,
     fwht,
 )
-from oracles import dense_hadamard
+from oracles import dense_hadamard, fwht_butterfly, hadamard_forward_full, hadamard_transpose_full
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal shapes and equal float64 bit patterns, signed zeros and NaN payloads included."""
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def wide_range(rng: np.random.Generator, shape, nonfinite: bool = False) -> np.ndarray:
+    """Gaussian entries scaled by 10^e, e uniform in -8..8; optionally a few ±inf and nan."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    if nonfinite:
+        x.flat[rng.integers(0, x.size, size=3)] = rng.choice([np.inf, -np.inf, np.nan], size=3)
+    return x
 
 
 def random_hadamard_op(rng: np.random.Generator, k: int, d: int, input_dim: int, normalized: bool = False) -> HadamardSignOperator:
@@ -51,6 +64,21 @@ class TestFwht:
         for i in range(3):
             for j in range(5):
                 np.testing.assert_allclose(out[i, j], fwht(batch[i, j]), atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (1,)], ids=["vector", "batch", "batch2d", "single-row"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_bit_identical_to_butterfly(self, lead, normalized):
+        # the butterfly oracle sums over the transform's addition tree, so every
+        # output must match it to the last bit, at every length up to 1024 and
+        # for inputs in any memory layout
+        rng = np.random.default_rng(len(lead) + 10 * normalized)
+        for log_d in range(11):
+            for nonfinite in (False, True):
+                x = wide_range(rng, lead + (2**log_d,), nonfinite)
+                x_strided = wide_range(rng, (2**log_d,) + lead[::-1], nonfinite).T  # not C-ordered
+                with np.errstate(invalid="ignore"):
+                    assert_same_bits(fwht(x, normalized), fwht_butterfly(x, normalized))
+                    assert_same_bits(fwht(x_strided, normalized), fwht_butterfly(x_strided, normalized))
 
     def test_input_not_mutated(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
@@ -188,6 +216,29 @@ class TestHadamardSignOperator:
         rhs = float(v @ op.apply_transpose(u))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_products_bit_identical_to_full_length(self, k, normalized):
+        # pruned products against zero-padded full-length FWHTs, for input
+        # dims that fill, half-fill and barely touch a power-of-two support
+        rng = np.random.default_rng(k + 10 * normalized)
+        for log_d in range(11):
+            dim = 2**log_d
+            for input_dim in sorted({1, 3, dim // 16, dim // 2 - 1, dim // 2, dim} & set(range(1, dim + 1))):
+                op = random_hadamard_op(rng, k, dim, input_dim, normalized)
+                for nonfinite in (False, True):
+                    v = wide_range(rng, input_dim, nonfinite)
+                    u = wide_range(rng, k * dim, nonfinite)
+                    with np.errstate(invalid="ignore"):
+                        assert_same_bits(
+                            op.apply_forward(v),
+                            hadamard_forward_full(op.sign_diagonals, input_dim, normalized, v),
+                        )
+                        assert_same_bits(
+                            op.apply_transpose(u),
+                            hadamard_transpose_full(op.sign_diagonals, input_dim, normalized, u),
+                        )
+
     def test_rejects_bad_signs(self):
         with pytest.raises(ValueError):
             HadamardSignOperator(sign_diagonals=np.array([[1.0, 0.5]]), input_dim=2)
@@ -238,7 +289,6 @@ class TestMeasurementOperator:
         rng = np.random.default_rng(13)
         op = self._make(rng, m=10, d1=2, d2=6)
         assert (op.m, op.d1, op.d2) == (10, 2, 6)
-        assert op.is_dense
 
 
 class TestMatvecCounting:
