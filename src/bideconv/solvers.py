@@ -9,16 +9,22 @@ linearly off the solution set) and weakly convex, so
   that value, and
 * the prox-linear method converges quadratically by solving a strongly convex
   least-absolute-deviation subproblem per iteration, which we do with a
-  semismooth Newton augmented Lagrangian method on the materialized
-  linearized map.  Each solve returns its duality gap, a certified bound on
-  its suboptimality, and hands its multipliers on to the next solve.
+  semismooth Newton augmented Lagrangian method on the linearized map as a
+  matrix.  Each solve returns its duality gap, a certified bound on its
+  suboptimality, and hands its multipliers on to the next solve.
+
+They also share one run loop, ``_run``: each solver only generates its
+iterates (the two subgradient methods differ only in their step rule), and
+the loop records every iterate and decides when the run stops.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -29,9 +35,8 @@ from .geometry import (
     project_feasible,
     relative_error,
 )
-from .linops import MatvecCounter, count_matvecs
+from .linops import count_matvecs
 from .model import (
-    LinearizedResidual,
     ProblemInstance,
     SignalPair,
     linearized_residual_operator,
@@ -108,67 +113,82 @@ class Trace:
     def final(self) -> TraceRecord:
         return self.records[-1]
 
-    @property
-    def any_inner_exhausted(self) -> bool:
-        return any(r.inner_exhausted for r in self.records)
-
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.records]
 
 
-class _RunState:
-    """Bookkeeping shared by the iterative solvers: records, stall, tolerance.
-
-    Records carry the relative error that ``tol_rel_err`` reads, not the
-    distance to the solution set: ``dist_to_solution_set`` gives it on demand.
-    """
-
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, counter: MatvecCounter):
-        self.inst = inst
-        self.cfg = cfg
-        self.counter = counter
-        self.trace = Trace(max_iters=cfg.max_iters)
-        self.best_objective = math.inf
-        self.last_improvement = 0
-
-    def record(
-        self,
-        k: int,
-        p: SignalPair,
-        objective: float,
-        step: float,
-        inner_iters: int = 0,
-        inner_exhausted: bool = False,
-        inner_gap: float = 0.0,
-    ) -> None:
-        self.trace.append(
-            TraceRecord(
-                iteration=k,
-                objective=objective,
-                relative_error=relative_error(p, self.inst.truth),
-                step_size=step,
-                inner_iters=inner_iters,
-                matvecs=self.counter.count,
-                inner_exhausted=inner_exhausted,
-                inner_gap=inner_gap,
-            )
-        )
-
-    def should_stop(self, k: int, objective: float) -> bool:
-        if not math.isfinite(objective):
-            self.trace.diverged = True
-            return True
-        if objective < self.best_objective - _STALL_TOL:
-            self.best_objective = objective
-            self.last_improvement = k
-        if self.cfg.tol_rel_err > 0.0 and self.trace.final.relative_error <= self.cfg.tol_rel_err:
-            return True
-        window = self.cfg.stall_window
-        return window is not None and (k - self.last_improvement) >= window
-
-
 def _project(p: SignalPair, region: FeasibleRegion | None) -> SignalPair:
     return p if region is None else project_feasible(p, region)
+
+
+# A solver's iterates: (point, objective, recorded step, extra TraceRecord fields).
+Iterates = Iterator[tuple[SignalPair, float, float, dict]]
+
+
+def _run(
+    inst: ProblemInstance,
+    start: SignalPair,
+    cfg: SolverConfig,
+    iterates: Callable[[SignalPair], Iterates],
+) -> tuple[SignalPair, Trace]:
+    """Record what ``iterates`` yields from the projected start until a stop.
+
+    The run ends at a non-finite objective (``Trace.diverged``), from
+    iteration 1 on at a relative error at or below ``cfg.tol_rel_err`` or
+    after ``cfg.stall_window`` iterations without an objective decrease of
+    more than ``_STALL_TOL``, after iteration ``cfg.max_iters``, or when the
+    iterates end at a stationary point.
+    """
+    trace = Trace(max_iters=cfg.max_iters)
+    best_objective, last_improvement = math.inf, 0
+    p = _project(start, cfg.region)
+    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
+        for k, (p, f, step, inner) in zip(range(cfg.max_iters + 1), iterates(p)):
+            trace.append(
+                TraceRecord(
+                    iteration=k,
+                    objective=f,
+                    relative_error=relative_error(p, inst.truth),
+                    step_size=step,
+                    matvecs=counter.count,
+                    **inner,
+                )
+            )
+            if not math.isfinite(f):
+                trace.diverged = True
+                break
+            if k == 0:
+                continue
+            if f < best_objective - _STALL_TOL:
+                best_objective, last_improvement = f, k
+            if cfg.tol_rel_err > 0.0 and trace.final.relative_error <= cfg.tol_rel_err:
+                break
+            if cfg.stall_window is not None and k - last_improvement >= cfg.stall_window:
+                break
+    return p, trace
+
+
+def _subgradient_iterates(
+    inst: ProblemInstance,
+    cfg: SolverConfig,
+    rule: Callable[[int, float, np.ndarray], tuple[float, float] | None],
+    p: SignalPair,
+) -> Iterates:
+    """Steps along -grad; ``rule(k, f, grad)`` gives iteration k's scale of
+    -grad and the step to record, or None at a stationary point."""
+    f, grad = objective_and_subgradient(inst, p)
+    yield p, f, 0.0, {}
+    for k in itertools.count(1):
+        taken = rule(k, f, grad)
+        if taken is None:
+            return
+        scale, step = taken
+        p = _project(
+            SignalPair(w=p.w - scale * grad[: inst.d1], x=p.x - scale * grad[inst.d1 :]),
+            cfg.region,
+        )
+        f, grad = objective_and_subgradient(inst, p)
+        yield p, f, step, {}
 
 
 def polyak_subgradient(
@@ -191,28 +211,14 @@ def polyak_subgradient(
     else:
         min_value = cfg.min_value
 
-    p = _project(start, cfg.region)
-    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
-        state = _RunState(inst, cfg, counter)
-        f, grad = objective_and_subgradient(inst, p)
-        state.record(0, p, f, step=0.0)
-        for k in range(1, cfg.max_iters + 1):
-            gnorm2 = float(grad @ grad)
-            if gnorm2 == 0.0:
-                break  # stationary: clean exit
-            gap = max(f - min_value, 0.0)
-            scale = gap / gnorm2
-            p = _project(
-                SignalPair(
-                    w=p.w - scale * grad[: inst.d1], x=p.x - scale * grad[inst.d1 :]
-                ),
-                cfg.region,
-            )
-            f, grad = objective_and_subgradient(inst, p)
-            state.record(k, p, f, step=gap / math.sqrt(gnorm2))
-            if state.should_stop(k, f):
-                break
-    return p, state.trace
+    def rule(k: int, f: float, grad: np.ndarray) -> tuple[float, float] | None:
+        gnorm2 = float(grad @ grad)
+        if gnorm2 == 0.0:
+            return None
+        gap = max(f - min_value, 0.0)
+        return gap / gnorm2, gap / math.sqrt(gnorm2)
+
+    return _run(inst, start, cfg, functools.partial(_subgradient_iterates, inst, cfg, rule))
 
 
 def geometric_subgradient(
@@ -220,31 +226,18 @@ def geometric_subgradient(
 ) -> tuple[SignalPair, Trace]:
     """Normalized subgradient steps with geometrically decaying lengths.
 
-    The displacement at iteration k has norm exactly lambda0 * decay_q**k
+    The displacement at iteration k has norm exactly lambda0 * decay_q**(k-1)
     (before any projection), independent of the subgradient's magnitude.
     """
-    p = _project(start, cfg.region)
-    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
-        state = _RunState(inst, cfg, counter)
-        f, grad = objective_and_subgradient(inst, p)
-        state.record(0, p, f, step=0.0)
-        for k in range(1, cfg.max_iters + 1):
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm == 0.0:
-                break
-            step = cfg.lambda0 * cfg.decay_q ** (k - 1)
-            scale = step / gnorm
-            p = _project(
-                SignalPair(
-                    w=p.w - scale * grad[: inst.d1], x=p.x - scale * grad[inst.d1 :]
-                ),
-                cfg.region,
-            )
-            f, grad = objective_and_subgradient(inst, p)
-            state.record(k, p, f, step=step)
-            if state.should_stop(k, f):
-                break
-    return p, state.trace
+
+    def rule(k: int, f: float, grad: np.ndarray) -> tuple[float, float] | None:
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            return None
+        step = cfg.lambda0 * cfg.decay_q ** (k - 1)
+        return step / gnorm, step
+
+    return _run(inst, start, cfg, functools.partial(_subgradient_iterates, inst, cfg, rule))
 
 
 class LadProxResult(NamedTuple):
@@ -275,7 +268,8 @@ _MAX_NEWTON = 200
 
 
 def admm_lad_prox(
-    amap: LinearizedResidual,
+    a_mat: np.ndarray,
+    d1: int,
     y_tilde: np.ndarray,
     beta: float,
     region: FeasibleRegion | None = None,
@@ -287,7 +281,7 @@ def admm_lad_prox(
     Optim. 2018) for min P(z) = (beta/2)||z||^2 + (1/m)||Az - y~||_1.
 
     With ``region``, z is also confined to two balls of its radius around
-    ``center`` (split like z into its first d1 and remaining entries; the
+    ``center`` (split like z into its first ``d1`` and remaining entries; the
     origin when None).  The constraints t = Az - y~ and s = z carry the
     multipliers u and u2.  With v = Az - y~ + u/sigma and w = z + u2/sigma,
     each penalty sigma minimizes
@@ -307,15 +301,13 @@ def admm_lad_prox(
     reports exhaustion when the Newton-step cap comes first.  P and the gap
     are evaluated at z projected onto the balls, which is what it returns.
 
-    The map is materialized once (``amap.to_dense()``), so the solve makes no
-    operator products.  z starts at zero and (u, u2) at ``duals`` (zero when
-    None); the result carries the final multipliers for the next solve.
+    A is the m x n matrix ``a_mat``, so the solve makes no operator
+    products.  z starts at zero and (u, u2) at ``duals`` (zero when None);
+    the result carries the final multipliers for the next solve.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    a_mat = amap.to_dense()
     m, n = a_mat.shape
-    d1 = amap.d1
     clip = region is not None and not math.isinf(region.radius)
     center = np.zeros(n) if center is None else center
     u, u2 = (np.zeros(m), np.zeros(n)) if duals is None else duals
@@ -394,6 +386,32 @@ def admm_lad_prox(
     )
 
 
+def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPair) -> Iterates:
+    a_mat, y_tilde = linearized_residual_operator(inst, p)
+    yield p, float(np.abs(y_tilde).mean()), 0.0, {}
+    duals = None
+    for k in itertools.count(1):
+        result = admm_lad_prox(
+            a_mat,
+            inst.d1,
+            y_tilde,
+            cfg.prox_beta,
+            region=cfg.region,
+            eps=_gap_tolerance(k),
+            center=-np.concatenate([p.w, p.x]),
+            duals=duals,
+        )
+        duals = result.duals
+        p = SignalPair(w=p.w + result.z[: inst.d1], x=p.x + result.z[inst.d1 :])
+        a_mat, y_tilde = linearized_residual_operator(inst, p)
+        inner = {
+            "inner_iters": result.iterations,
+            "inner_exhausted": result.exhausted,
+            "inner_gap": result.gap,
+        }
+        yield p, float(np.abs(y_tilde).mean()), float(np.linalg.norm(result.z)), inner
+
+
 def prox_linear(
     inst: ProblemInstance, start: SignalPair, cfg: SolverConfig
 ) -> tuple[SignalPair, Trace]:
@@ -408,34 +426,4 @@ def prox_linear(
     most of the LAD subgradient's sign pattern, which the multipliers carry.
     The trace records each solve's Newton steps, gap and exhaustion.
     """
-    p = _project(start, cfg.region)
-    duals = None
-    with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
-        state = _RunState(inst, cfg, counter)
-        amap, y_tilde = linearized_residual_operator(inst, p)
-        state.record(0, p, float(np.abs(y_tilde).mean()), step=0.0)
-        for k in range(1, cfg.max_iters + 1):
-            result = admm_lad_prox(
-                amap,
-                y_tilde,
-                cfg.prox_beta,
-                region=cfg.region,
-                eps=_gap_tolerance(k),
-                center=-np.concatenate([p.w, p.x]),
-                duals=duals,
-            )
-            duals = result.duals
-            p = SignalPair(w=p.w + result.z[: inst.d1], x=p.x + result.z[inst.d1 :])
-            amap, y_tilde = linearized_residual_operator(inst, p)
-            state.record(
-                k,
-                p,
-                float(np.abs(y_tilde).mean()),
-                step=float(np.linalg.norm(result.z)),
-                inner_iters=result.iterations,
-                inner_exhausted=result.exhausted,
-                inner_gap=result.gap,
-            )
-            if state.should_stop(k, state.trace.final.objective):
-                break
-    return p, state.trace
+    return _run(inst, start, cfg, functools.partial(_prox_linear_iterates, inst, cfg))

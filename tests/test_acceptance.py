@@ -24,14 +24,11 @@ from bideconv.experiments import (
     solve_instance,
 )
 from bideconv.geometry import SolutionSet, dist_to_solution_set, dist_to_solution_set_many
-from bideconv.linops import DenseOperator
 from bideconv.model import (
     GroundTruth,
-    LinearizedResidual,
     NoiseSpec,
     SignalPair,
     generate_instance,
-    linearized_residual_operator,
     objective_and_subgradient,
 )
 from bideconv.solvers import (
@@ -284,31 +281,21 @@ def test_components_match_oracles():
     admm_dev = 0.0
     for i in range(50):
         m = 5 + (i % 4)
-        left = DenseOperator(rng.standard_normal((m, 1)))
-        right = DenseOperator(rng.standard_normal((m, 1)))
-        amap = LinearizedResidual(
-            left=left,
-            right=right,
-            left_weights=np.zeros(m),  # second column vanishes: scalar problem
-            right_weights=rng.standard_normal(m),
-        )
+        left, _, right_weights = rng.standard_normal((3, m))  # the unused draw keeps the stream
+        a_mat = np.column_stack([right_weights * left, np.zeros(m)])  # scalar problem
         y_tilde = rng.standard_normal(m)
         beta = float(rng.uniform(0.4, 2.5))
-        got = admm_lad_prox(amap, y_tilde, beta, eps=1e-8)
-        want = exact_lad_prox_1d(amap.to_dense()[:, :1], y_tilde, beta)
+        got = admm_lad_prox(a_mat, 1, y_tilde, beta, eps=1e-8)
+        want = exact_lad_prox_1d(a_mat[:, :1], y_tilde, beta)
         admm_dev = max(admm_dev, abs(float(got.z[0]) - want), abs(float(got.z[1])))
     for i in range(50):
         m = 5 + (i % 4)
-        amap = LinearizedResidual(
-            left=DenseOperator(rng.standard_normal((m, 1))),
-            right=DenseOperator(rng.standard_normal((m, 1))),
-            left_weights=rng.standard_normal(m),
-            right_weights=rng.standard_normal(m),
-        )
+        left, right, left_weights, right_weights = rng.standard_normal((4, m))
+        a_mat = np.column_stack([right_weights * left, left_weights * right])
         y_tilde = rng.standard_normal(m)
         beta = float(rng.uniform(0.4, 2.5))
-        got = admm_lad_prox(amap, y_tilde, beta, eps=1e-8)
-        want = exact_lad_prox_2d(amap.to_dense(), y_tilde, beta)
+        got = admm_lad_prox(a_mat, 1, y_tilde, beta, eps=1e-8)
+        want = exact_lad_prox_2d(a_mat, y_tilde, beta)
         admm_dev = max(admm_dev, float(np.max(np.abs(got.z - want))))
 
     # (c) analytic subgradient vs central differences at 1000 smooth points
@@ -337,19 +324,12 @@ def test_components_match_oracles():
     struct_dev = 0.0
     inst = generate_instance(48, 40, 768, left="hadamard", seed=730)
     left_dense = inst.op.left.to_dense()
-    amap, _ = linearized_residual_operator(
-        inst, SignalPair(w=rng.standard_normal(48), x=rng.standard_normal(40))
-    )
-    amap_dense = amap.to_dense()
     for _ in range(25):
         v, u = rng.standard_normal(48), rng.standard_normal(768)
-        z = rng.standard_normal(88)
         struct_dev = max(
             struct_dev,
             float(np.max(np.abs(inst.op.left.apply_forward(v) - left_dense @ v))),
             float(np.max(np.abs(inst.op.left.apply_transpose(u) - left_dense.T @ u))),
-            float(np.max(np.abs(amap.matvec(z) - amap_dense @ z))),
-            float(np.max(np.abs(amap.rmatvec(u) - amap_dense.T @ u))),
         )
 
     ok = dist_dev <= 1e-6 and admm_dev <= 1e-4 and grad_dev <= 1e-5 and struct_dev <= 1e-10

@@ -19,7 +19,6 @@ from bideconv.model import (
     objective_and_subgradient,
     partial_hadamard_left,
     save_instance,
-    subgradient,
 )
 from oracles import count_unidentifiable_groups, fd_gradient, pattern_groups
 
@@ -228,11 +227,12 @@ class TestObjective:
 class TestSubgradient:
     def test_zero_at_truth_noiseless(self):
         inst = generate_instance(4, 4, 20, seed=17)
-        np.testing.assert_array_equal(subgradient(inst, inst.truth.pair()), np.zeros(8))
+        grad = objective_and_subgradient(inst, inst.truth.pair())[1]
+        np.testing.assert_array_equal(grad, np.zeros(8))
 
     def test_single_measurement_arithmetic(self):
         inst = tiny_instance([[1.0]], [[1.0]], [0.0])
-        g = subgradient(inst, SignalPair(w=np.array([2.0]), x=np.array([3.0])))
+        g = objective_and_subgradient(inst, SignalPair(w=np.array([2.0]), x=np.array([3.0])))[1]
         np.testing.assert_allclose(g, [3.0, 2.0], atol=1e-14)
 
     def test_matches_finite_differences_away_from_kinks(self):
@@ -253,7 +253,7 @@ class TestSubgradient:
 
             fd = fd_gradient(fun, point, h=1e-6)
             np.testing.assert_allclose(
-                subgradient(inst, SignalPair(w=w, x=x)), fd, atol=1e-5
+                objective_and_subgradient(inst, SignalPair(w=w, x=x))[1], fd, atol=1e-5
             )
 
     def test_uses_four_operator_products(self):
@@ -270,16 +270,19 @@ class TestSubgradient:
         p = SignalPair(w=np.arange(1.0, 4.0), x=np.arange(1.0, 8.0))
         value, grad = objective_and_subgradient(inst, p)
         assert value == objective(inst, p)
-        np.testing.assert_array_equal(grad, subgradient(inst, p))
+        left, right = inst.op.left.to_dense(), inst.op.right.to_dense()
+        sign = np.sign((left @ p.w) * (right @ p.x) - inst.y)
+        dense = np.concatenate([left.T @ (sign * (right @ p.x)), right.T @ (sign * (left @ p.w))])
+        np.testing.assert_allclose(grad, dense / inst.m, rtol=1e-14, atol=1e-15)
 
 
 class TestLinearization:
     def test_zero_displacement_recovers_objective(self):
         inst = generate_instance(4, 6, 18, noise=NoiseSpec.gaussian(0.25), seed=31)
         base = SignalPair(w=np.ones(4), x=np.full(6, 0.5))
-        amap, y_tilde = linearized_residual_operator(inst, base)
+        a_mat, y_tilde = linearized_residual_operator(inst, base)
         zero = np.zeros(10)
-        lin_obj = np.abs(amap.matvec(zero) - y_tilde).mean()
+        lin_obj = np.abs(a_mat @ zero - y_tilde).mean()
         assert lin_obj == pytest.approx(objective(inst, base), abs=1e-14)
 
     def test_offset_vanishes_at_truth_noiseless(self):
@@ -293,14 +296,20 @@ class TestLinearization:
         base = SignalPair(
             w=np.linspace(-1.0, 1.0, 5), x=np.linspace(0.5, 2.0, 6)
         )
-        amap, _ = linearized_residual_operator(inst, base)
-        dense = amap.to_dense()
-        assert amap.shape == dense.shape == (16, 11)
+        dense, _ = linearized_residual_operator(inst, base)
+        assert dense.shape == (16, 11)
+        # the operator form: row i is [<x, r_i> l_i^T | <l_i, w> r_i^T]
+        lw = inst.op.left.apply_forward(base.w)
+        rx = inst.op.right.apply_forward(base.x)
         rng = np.random.default_rng(43)
         z = rng.standard_normal(11)
         u = rng.standard_normal(16)
-        np.testing.assert_allclose(amap.matvec(z), dense @ z, atol=1e-10)
-        np.testing.assert_allclose(amap.rmatvec(u), dense.T @ u, atol=1e-10)
+        forward = rx * inst.op.left.apply_forward(z[:5]) + lw * inst.op.right.apply_forward(z[5:])
+        transpose = np.concatenate(
+            [inst.op.left.apply_transpose(rx * u), inst.op.right.apply_transpose(lw * u)]
+        )
+        np.testing.assert_allclose(forward, dense @ z, atol=1e-10)
+        np.testing.assert_allclose(transpose, dense.T @ u, atol=1e-10)
 
     def test_model_accuracy_identity_and_bound(self):
         rng = np.random.default_rng(47)
@@ -308,10 +317,10 @@ class TestLinearization:
         for _ in range(10):
             base = SignalPair(w=rng.standard_normal(3), x=rng.standard_normal(3))
             target = SignalPair(w=rng.standard_normal(3), x=rng.standard_normal(3))
-            amap, y_tilde = linearized_residual_operator(inst, base)
+            a_mat, y_tilde = linearized_residual_operator(inst, base)
             delta = target.stacked() - base.stacked()
             true_args = inst.op.bilinear_forward(target.w, target.x) - inst.y
-            lin_args = amap.matvec(delta) - y_tilde
+            lin_args = a_mat @ delta - y_tilde
             cross = inst.op.bilinear_forward(target.w - base.w, target.x - base.x)
             # per-measurement, the linearization error is exactly the cross term
             np.testing.assert_allclose(np.abs(true_args - lin_args), np.abs(cross), atol=1e-11)
@@ -322,9 +331,6 @@ class TestLinearization:
         inst = generate_instance(3, 3, 9, seed=53)
         with pytest.raises(DimensionError):
             linearized_residual_operator(inst, SignalPair(w=np.ones(2), x=np.ones(3)))
-        amap, _ = linearized_residual_operator(inst, inst.truth.pair())
-        with pytest.raises(DimensionError):
-            amap.matvec(np.ones(5))
 
 
 class TestSignalTypes:

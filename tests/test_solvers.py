@@ -23,9 +23,8 @@ from bideconv.geometry import (
     dist_to_solution_set,
     relative_error,
 )
-from bideconv.linops import DenseOperator, count_matvecs
+from bideconv.linops import count_matvecs
 from bideconv.model import (
-    LinearizedResidual,
     NoiseSpec,
     SignalPair,
     generate_instance,
@@ -59,18 +58,17 @@ def perturbed_start(inst, scale: float, seed: int) -> SignalPair:
 
 
 def column_instance(seed: int, m: int = 6):
-    """A two-column linearized map with random entries, for oracle comparisons."""
+    """A two-column linearized map with random entries, for oracle comparisons.
+
+    Column 1 is a left column weighted by right products, column 2 a right
+    column weighted by left products, as ``linearized_residual_operator``
+    builds them for d1 = d2 = 1.
+    """
     rng = np.random.default_rng(seed)
-    left = DenseOperator(rng.standard_normal((m, 1)))
-    right = DenseOperator(rng.standard_normal((m, 1)))
-    amap = LinearizedResidual(
-        left=left,
-        right=right,
-        left_weights=rng.standard_normal(m),
-        right_weights=rng.standard_normal(m),
-    )
+    left, right, left_weights, right_weights = rng.standard_normal((4, m))
+    a_mat = np.column_stack([right_weights * left, left_weights * right])
     y_tilde = rng.standard_normal(m)
-    return amap, y_tilde
+    return a_mat, y_tilde
 
 
 class TestPolyak:
@@ -229,8 +227,8 @@ class TestGeometric:
 
 class TestAdmm:
     def test_zero_target_returns_zero(self):
-        amap, _ = column_instance(21)
-        result = admm_lad_prox(amap, np.zeros(amap.m), beta=1.0, eps=1e-8)
+        a_mat, _ = column_instance(21)
+        result = admm_lad_prox(a_mat, 1, np.zeros(a_mat.shape[0]), beta=1.0, eps=1e-8)
         np.testing.assert_allclose(result.z, 0.0, atol=1e-12)
         assert not result.exhausted
 
@@ -238,16 +236,9 @@ class TestAdmm:
         # two identical rows pulling toward 1 with a unit quadratic: the
         # minimizer sits exactly on the kink at z = 1
         m = 2
-        left = DenseOperator(np.ones((m, 1)))
-        right = DenseOperator(np.ones((m, 1)))
-        amap = LinearizedResidual(
-            left=left,
-            right=right,
-            left_weights=np.zeros(m),
-            right_weights=np.ones(m),
-        )
+        a_mat = np.column_stack([np.ones(m), np.zeros(m)])
         y_tilde = np.ones(m)
-        result = admm_lad_prox(amap, y_tilde, beta=1.0, eps=1e-10)
+        result = admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=1e-10)
         assert result.z[0] == pytest.approx(1.0, abs=1e-6)
         assert result.z[1] == pytest.approx(0.0, abs=1e-8)
         oracle = grid_lad_prox_1d(np.ones((m, 1)), y_tilde, 1.0, -3.0, 3.0)
@@ -256,83 +247,71 @@ class TestAdmm:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_matches_two_dimensional_grid(self, beta):
         for seed in range(8):
-            amap, y_tilde = column_instance(300 + seed)
-            result = admm_lad_prox(amap, y_tilde, beta=beta, eps=1e-8)
-            oracle = grid_lad_prox_2d(amap.to_dense(), y_tilde, beta, -3.0, 3.0)
+            a_mat, y_tilde = column_instance(300 + seed)
+            result = admm_lad_prox(a_mat, 1, y_tilde, beta=beta, eps=1e-8)
+            oracle = grid_lad_prox_2d(a_mat, y_tilde, beta, -3.0, 3.0)
             np.testing.assert_allclose(result.z, oracle, atol=1e-4)
 
     def test_never_worse_than_zero(self):
         for seed in range(12):
-            amap, y_tilde = column_instance(400 + seed, m=8)
-            result = admm_lad_prox(amap, y_tilde, beta=0.7, eps=1e-7)
-            a_dense = amap.to_dense()
+            a_dense, y_tilde = column_instance(400 + seed, m=8)
+            result = admm_lad_prox(a_dense, 1, y_tilde, beta=0.7, eps=1e-7)
             at_z = lad_prox_objective(a_dense, y_tilde, 0.7, result.z)[0]
             at_zero = lad_prox_objective(a_dense, y_tilde, 0.7, np.zeros(2))[0]
             assert at_z <= at_zero + 1e-9
 
     def test_exhaustion_is_flagged(self, monkeypatch):
         monkeypatch.setattr(solvers, "_MAX_NEWTON", 3)
-        amap, y_tilde = column_instance(22)
-        result = admm_lad_prox(amap, y_tilde, beta=1.0, eps=1e-12)
+        a_mat, y_tilde = column_instance(22)
+        result = admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=1e-12)
         assert result.exhausted
         assert result.iterations == 3
 
     def test_region_constraint_respected(self):
-        amap, y_tilde = column_instance(24)
+        a_dense, y_tilde = column_instance(24)
         y_tilde = y_tilde + 5.0  # push the unconstrained solution outside
         region = FeasibleRegion(radius=0.05)
-        result = admm_lad_prox(amap, y_tilde, beta=0.1, region=region, eps=1e-8)
+        result = admm_lad_prox(a_dense, 1, y_tilde, beta=0.1, region=region, eps=1e-8)
         assert abs(result.z[0]) <= region.radius + 1e-12
         assert abs(result.z[1]) <= region.radius + 1e-12
-        a_dense = amap.to_dense()
         at_z = lad_prox_objective(a_dense, y_tilde, 0.1, result.z)[0]
         at_zero = lad_prox_objective(a_dense, y_tilde, 0.1, np.zeros(2))[0]
         assert at_z <= at_zero + 1e-9
 
     def test_zero_duals_are_the_default(self):
-        amap, y_tilde = column_instance(27)
-        default = admm_lad_prox(amap, y_tilde, beta=1.0, eps=1e-8)
+        a_mat, y_tilde = column_instance(27)
+        default = admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=1e-8)
         explicit = admm_lad_prox(
-            amap,
-            y_tilde,
-            beta=1.0,
-            eps=1e-8,
-            duals=(np.zeros(amap.m), np.zeros(amap.shape[1])),
+            a_mat, 1, y_tilde, beta=1.0, eps=1e-8, duals=(np.zeros(a_mat.shape[0]), np.zeros(2))
         )
         np.testing.assert_array_equal(default.z, explicit.z)
         assert default.iterations == explicit.iterations
 
     def test_converged_duals_warm_start_the_same_subproblem(self):
         inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=37)
-        amap, y_tilde = linearized_residual_operator(inst, perturbed_start(inst, 0.2, 38))
-        cold = admm_lad_prox(amap, y_tilde, beta=1.0, eps=1e-8)
-        warm = admm_lad_prox(amap, y_tilde, beta=1.0, eps=1e-8, duals=cold.duals)
+        a_mat, y_tilde = linearized_residual_operator(inst, perturbed_start(inst, 0.2, 38))
+        cold = admm_lad_prox(a_mat, inst.d1, y_tilde, beta=1.0, eps=1e-8)
+        warm = admm_lad_prox(a_mat, inst.d1, y_tilde, beta=1.0, eps=1e-8, duals=cold.duals)
         assert not cold.exhausted and not warm.exhausted
         assert 2 * warm.iterations <= cold.iterations
         np.testing.assert_allclose(warm.z, cold.z, atol=1e-5)
 
     def test_rejects_bad_tolerance(self):
-        amap, y_tilde = column_instance(26)
+        a_mat, y_tilde = column_instance(26)
         with pytest.raises(ValueError, match="eps"):
-            admm_lad_prox(amap, y_tilde, beta=1.0, eps=0.0)
+            admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=0.0)
 
     def test_gap_bounds_the_suboptimality(self):
         # 0 <= P(z) - P(z_opt) <= gap, with z_opt enumerated exactly; the
         # odd problems have one variable, their first weight column being zero
         rng = np.random.default_rng(50)
         for i in range(40):
-            amap, y_tilde = column_instance(500 + i, m=5 + i % 4)
+            a_dense, y_tilde = column_instance(500 + i, m=5 + i % 4)
             if i % 2:
-                amap = LinearizedResidual(
-                    left=amap.left,
-                    right=amap.right,
-                    left_weights=np.zeros(amap.m),
-                    right_weights=amap.right_weights,
-                )
+                a_dense[:, 1] = 0.0
             beta = float(rng.uniform(0.4, 2.5))
             eps = float(10.0 ** rng.uniform(-9, -2))
-            result = admm_lad_prox(amap, y_tilde, beta=beta, eps=eps)
-            a_dense = amap.to_dense()
+            result = admm_lad_prox(a_dense, 1, y_tilde, beta=beta, eps=eps)
             if i % 2:
                 z_opt = np.array([exact_lad_prox_1d(a_dense[:, :1], y_tilde, beta), 0.0])
             else:
@@ -352,13 +331,13 @@ class TestAdmm:
         offsets = np.linspace(-radius, radius, 201)
         binding = 0
         for seed in range(20):
-            amap, y_tilde = column_instance(600 + seed)
+            a_dense, y_tilde = column_instance(600 + seed)
             y_tilde = 3.0 * y_tilde
             center = 0.2 * rng.standard_normal(2) if seed % 2 else np.zeros(2)
             eps = float(10.0 ** rng.uniform(-9, -2))
-            a_dense = amap.to_dense()
             result = admm_lad_prox(
-                amap,
+                a_dense,
+                1,
                 y_tilde,
                 beta=beta,
                 region=FeasibleRegion(radius=radius),
@@ -391,8 +370,8 @@ class TestProxLinear:
         cfg = SolverConfig(max_iters=1, prox_beta=1.0)
         moved, trace = prox_linear(inst, start, cfg)
         step = np.array([moved.w[0] - start.w[0], moved.x[0] - start.x[0]])
-        amap, y_tilde = linearized_residual_operator(inst, start)
-        oracle = grid_lad_prox_2d(amap.to_dense(), y_tilde, 1.0, -3.0, 3.0)
+        a_mat, y_tilde = linearized_residual_operator(inst, start)
+        oracle = grid_lad_prox_2d(a_mat, y_tilde, 1.0, -3.0, 3.0)
         np.testing.assert_allclose(step, oracle, atol=1e-4)
 
     def test_converges_quadratically_fast(self):
@@ -400,7 +379,7 @@ class TestProxLinear:
         cfg = SolverConfig(max_iters=15, tol_rel_err=1e-9)
         final, trace = prox_linear(inst, perturbed_start(inst, 0.2, 30), cfg)
         assert trace.final.relative_error <= 1e-9
-        assert not trace.any_inner_exhausted
+        assert not any(trace.column("inner_exhausted"))
 
     def test_trace_records_certified_gaps(self):
         inst = generate_instance(10, 10, 160, noise=NoiseSpec.gaussian(0.25), seed=29)
@@ -425,7 +404,7 @@ class TestProxLinear:
         inst = generate_instance(6, 6, 96, seed=33)
         cfg = SolverConfig(max_iters=3, stall_window=None)
         _, trace = prox_linear(inst, perturbed_start(inst, 0.3, 34), cfg)
-        assert trace.any_inner_exhausted
+        assert any(trace.column("inner_exhausted"))
         assert trace.final.iteration == 3
 
     def test_region_confines_the_iterate(self):
@@ -440,7 +419,7 @@ class TestProxLinear:
         assert trace.final.iteration == 10
         assert np.linalg.norm(final.w) <= region.radius + 1e-12
         assert np.linalg.norm(final.x) <= region.radius + 1e-12
-        assert not trace.any_inner_exhausted
+        assert not any(trace.column("inner_exhausted"))
 
     def test_hadamard_left_reaches_high_accuracy(self):
         # the partial-Hadamard side goes through the same materialized map
@@ -452,7 +431,7 @@ class TestProxLinear:
         cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
         _, trace = prox_linear(inst, SignalPair(w=est.w0, x=est.x0), cfg)
         assert trace.final.relative_error <= 1e-8
-        assert not trace.any_inner_exhausted
+        assert not any(trace.column("inner_exhausted"))
 
     def test_repeated_runs_are_bit_identical(self):
         # the warm-started multipliers live inside one call, so nothing carries over
@@ -476,6 +455,56 @@ class TestProxLinear:
         expected = 2 * len(trace.records)
         assert outer.count == expected
         assert trace.final.matvecs == expected
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [polyak_subgradient, geometric_subgradient, prox_linear],
+    ids=["polyak", "geometric", "prox_linear"],
+)
+class TestRunLoop:
+    """The stop rules all three solvers share."""
+
+    def run(self, solver, **settings):
+        # Polyak needs a known minimal value, so its instance is noiseless
+        noise = None if solver is polyak_subgradient else NoiseSpec.gaussian(0.2)
+        inst = generate_instance(8, 8, 128, noise=noise, seed=45)
+        with count_matvecs() as outer:
+            _, trace = solver(inst, perturbed_start(inst, 0.3, 46), SolverConfig(**settings))
+        assert len(trace.records) <= trace.max_iters + 1
+        assert trace.final.matvecs == outer.count
+        return trace
+
+    def test_budget_bounds_the_trace(self, solver):
+        trace = self.run(solver, max_iters=3, stall_window=None)
+        assert trace.column("iteration") == [0, 1, 2, 3]
+
+    def test_tolerance_stops_at_first_record_at_or_below_it(self, solver):
+        full = self.run(solver, max_iters=12, stall_window=None)
+        errors = full.column("relative_error")
+        # the start already meets the second tolerance, and only iteration 1 may stop on it
+        for tol in (errors[3], 2.0 * errors[0]):
+            stop = next(k for k in range(1, len(errors)) if errors[k] <= tol)
+            trace = self.run(solver, max_iters=12, stall_window=None, tol_rel_err=tol)
+            assert trace.final.iteration == stop >= 1
+            assert trace.records == full.records[: stop + 1]
+
+    def test_stall_window_counts_from_iteration_one(self, solver, monkeypatch):
+        # no decrease counts after iteration 1, which itself improves on +inf
+        monkeypatch.setattr(solvers, "_STALL_TOL", 1e300)
+        trace = self.run(solver, max_iters=20, stall_window=3)
+        assert trace.final.iteration == 4
+        assert not trace.diverged
+
+    def test_non_finite_start_diverges_at_record_zero(self, solver):
+        inst = generate_instance(8, 8, 128, seed=1)
+        start = SignalPair(w=1e160 * np.ones(8), x=1e160 * np.ones(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = solver(inst, start, SolverConfig())
+        assert trace.diverged
+        assert len(trace.records) == 1
+        assert math.isinf(trace.final.objective)
 
 
 class TestConfigAndTrace:
