@@ -16,7 +16,6 @@ from .geometry import (
     dist_to_solution_set,
     estimate_rip_constants,
     relative_error,
-    sharpness_witness_scan,
 )
 from .linops import (
     DenseOperator,
@@ -74,7 +73,6 @@ __all__ = [
     "prox_linear",
     "relative_error",
     "run_experiment",
-    "sharpness_witness_scan",
     "spectral_initialize",
     "__version__",
 ]

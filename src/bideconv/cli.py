@@ -103,7 +103,6 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
     "q": ("geometric decay rate(s), comma list", _parse_qs),
     "lambda": ("initial step length", lambda t: {"lambda0": _parse_float(t)}),
     "beta": ("prox-linear quadratic weight", lambda t: {"prox_beta": _parse_float(t)}),
-    "nu": ("solution-set looseness (>= 1)", lambda t: {"nu": _parse_float(t)}),
     "threshold": (
         "success / stopping relative error",
         lambda t: {"success_threshold": _parse_float(t)},
@@ -117,6 +116,13 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
 _TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
 _ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
+# the grids a command reads one value of, by ExperimentSpec field and setting
+_GRID_NAMES = {"m_ratios": "c", "p_fails": "pfail", "sigmas": "noise sigma", "qs": "q"}
+_ONE_VALUE_GRIDS = {
+    "solve": ("m_ratios", "p_fails", "sigmas", "qs"),
+    "rip-probe": ("m_ratios", "p_fails", "sigmas"),
+    "sweep-q": ("p_fails", "sigmas"),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -162,6 +168,9 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for grid in _ONE_VALUE_GRIDS.get(args.command, ()):
+        if len(getattr(spec, grid)) > 1:
+            raise ConfigError(f"{args.command} takes one value of {_GRID_NAMES[grid]}")
     return spec, out
 
 
@@ -254,7 +263,7 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
 
 
 # command -> (help, ExperimentSpec.kind, handler); solve and rip-probe read
-# only the first cell's instance from the spec, so their kind is nominal
+# the spec's one cell, so their kind is nominal
 _COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int]]] = {
     "solve": ("solve one instance, print the trace", "convergence", _cmd_solve),
     "init": ("initialization accuracy table", "init", _cmd_experiment),

@@ -80,7 +80,6 @@ class ExperimentSpec:
     noise_kind: Literal["n1", "n2"] = "n1"
     sigmas: tuple[float, ...] = (1.0,)
     left: Literal["gaussian", "hadamard"] = "gaussian"
-    nu: float = math.sqrt(2.0)
     qs: tuple[float, ...] = (0.98,)
 
     def __post_init__(self) -> None:
@@ -158,7 +157,7 @@ def make_instance(
     spec: ExperimentSpec, c: int, p_fail: float, sigma: float, seed: int
 ) -> ProblemInstance:
     """The instance of cell (c, p_fail, sigma) drawn from ``seed``: m = c(d1 + d2)
-    measurements with the spec's left side, noise model and looseness nu."""
+    measurements with the spec's left side and noise model."""
     return generate_instance(
         spec.d1,
         spec.d2,
@@ -166,7 +165,6 @@ def make_instance(
         left=spec.left,
         noise=_noise(spec, p_fail, sigma),
         seed=seed,
-        nu=spec.nu,
     )
 
 
@@ -259,7 +257,8 @@ def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
 
 
 def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
-    """Mean final error of the decaying-step method per (q, c) cell."""
+    """Mean final error of the decaying-step method per (q, c) cell, at the
+    spec's first p_fail and sigma (the CLI allows only one of each)."""
     table = ResultTable()
     p_fail, sigma = spec.p_fails[0], spec.sigmas[0]
     geometric = replace(spec, solver="geometric")

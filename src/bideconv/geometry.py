@@ -4,8 +4,8 @@ The solution set of a bilinear recovery problem is a one-parameter family of
 rank-one factorizations, (alpha * w_bar, x_bar / alpha) with the scale alpha
 confined to [1/nu, nu] in absolute value.  Distances to that set reduce to a
 one-dimensional minimization whose stationary points are roots of a quartic,
-which we solve by companion-matrix eigenvalues (batched, so scanning 1e5
-sample points stays cheap).
+which we solve by companion-matrix eigenvalues, batched over stacked
+candidates.
 """
 
 from __future__ import annotations
@@ -21,40 +21,20 @@ from .model import GroundTruth, SignalPair
 
 @dataclass(frozen=True)
 class FeasibleRegion:
-    """Product of two origin-centered Euclidean balls of a common radius.
+    """Product of two origin-centered Euclidean balls of a common, finite radius.
 
-    ``radius=inf`` is the unconstrained mode: projection becomes the identity.
+    A solver with no region takes ``region=None``.
     """
 
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-    @classmethod
-    def from_truth(cls, truth: GroundTruth, nu: float) -> "FeasibleRegion":
-        """Ball radius nu * sqrt(M) from the planted magnitude M."""
-        if not nu >= 1.0:
-            raise ValueError(f"nu must be >= 1, got {nu}")
-        return cls(radius=nu * math.sqrt(truth.magnitude))
-
-    @classmethod
-    def from_estimate(cls, estimated_magnitude: float) -> "FeasibleRegion":
-        """Ball radius sqrt(2 * M_hat) from an estimated magnitude M_hat."""
-        if not estimated_magnitude > 0.0:
-            raise ValueError(f"estimated magnitude must be positive, got {estimated_magnitude}")
-        return cls(radius=math.sqrt(2.0 * estimated_magnitude))
-
-    @classmethod
-    def unconstrained(cls) -> "FeasibleRegion":
-        return cls(radius=math.inf)
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
 
 def project_feasible(p: SignalPair, region: FeasibleRegion) -> SignalPair:
     """Nearest point of the ball product: each factor shrunk onto its ball."""
-    if math.isinf(region.radius):
-        return p
     w = p.w
     x = p.x
     nw = float(np.linalg.norm(w))
@@ -151,17 +131,6 @@ def dist_to_solution_set(p: SignalPair, sol: SolutionSet) -> float:
     """
     d2 = _dist_squared_many(p.w[None, :], p.x[None, :], sol.truth, sol.nu)
     return float(np.sqrt(d2[0]))
-
-
-def dist_to_solution_set_many(
-    w_stack: np.ndarray, x_stack: np.ndarray, sol: SolutionSet
-) -> np.ndarray:
-    """Batched :func:`dist_to_solution_set` over rows of the two stacks."""
-    w_stack = np.atleast_2d(np.asarray(w_stack, dtype=np.float64))
-    x_stack = np.atleast_2d(np.asarray(x_stack, dtype=np.float64))
-    if w_stack.shape[0] != x_stack.shape[0]:
-        raise ValueError("w and x stacks must have the same number of rows")
-    return np.sqrt(_dist_squared_many(w_stack, x_stack, sol.truth, sol.nu))
 
 
 def _matrix_error_squared_many(w: np.ndarray, x: np.ndarray, truth: GroundTruth) -> np.ndarray:
@@ -264,48 +233,3 @@ def estimate_rip_constants(
     return LandscapeEstimate(
         c_lower=c_lo, c_upper=c_hi, c_outlier=gap_lo, sample_count=samples
     )
-
-
-def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
-    """n points uniform in the dim-ball of the given radius, as rows."""
-    direction = rng.standard_normal((n, dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    shell = rng.uniform(size=n) ** (1.0 / dim)
-    return radius * shell[:, None] * direction
-
-
-def sharpness_witness_scan(
-    sol: SolutionSet,
-    samples: int,
-    seed: int = 0,
-    batch: int = 20_000,
-) -> float:
-    """Worst observed ratio matrix-error / factor-distance over the ball region.
-
-    Points are sampled uniformly from the product of balls of radius
-    nu * sqrt(M); samples closer than 1e-9 to the solution set are skipped
-    (zero-over-zero).  A return value below :attr:`SolutionSet.sharpness_bound`
-    would witness a violation of the expected lower bound.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    radius = sol.nu * math.sqrt(sol.truth.magnitude)
-    d1 = sol.truth.w_bar.size
-    d2 = sol.truth.x_bar.size
-
-    worst = math.inf
-    remaining = samples
-    while remaining > 0:
-        n = min(batch, remaining)
-        remaining -= n
-        w_stack = _uniform_ball(rng, n, d1, radius)
-        x_stack = _uniform_ball(rng, n, d2, radius)
-        dist = np.sqrt(_dist_squared_many(w_stack, x_stack, sol.truth, sol.nu))
-        keep = dist >= 1e-9
-        if not keep.any():
-            continue
-        err = np.sqrt(_matrix_error_squared_many(w_stack, x_stack, sol.truth))
-        ratios = err[keep] / dist[keep]
-        worst = min(worst, float(ratios.min()))
-    return worst

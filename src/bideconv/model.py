@@ -160,7 +160,6 @@ class ProblemInstance:
     y: np.ndarray
     truth: GroundTruth
     outlier_mask: np.ndarray
-    nu: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -170,8 +169,6 @@ class ProblemInstance:
             raise DimensionError("y and outlier_mask must have one entry per measurement")
         if self.truth.w_bar.size != self.op.d1 or self.truth.x_bar.size != self.op.d2:
             raise DimensionError("ground-truth dimensions do not match the operator")
-        if not self.nu >= 1.0:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "outlier_mask", mask)
 
@@ -238,7 +235,6 @@ def generate_instance(
     noise: NoiseSpec | None = None,
     seed: int = 0,
     magnitude: float = 1.0,
-    nu: float = math.sqrt(2.0),
 ) -> ProblemInstance:
     """Draw a complete instance from a single integer seed.
 
@@ -259,9 +255,6 @@ def generate_instance(
     magnitude:
         Frobenius norm of the planted rank-one matrix; factors are balanced,
         each with norm ``sqrt(magnitude)``.
-    nu:
-        Scale-ambiguity slack carried by the instance for region radii and
-        solution-set metrics.
     """
     if d1 < 1 or d2 < 1 or m < 1:
         raise DimensionError(f"dimensions must be positive, got d1={d1} d2={d2} m={m}")
@@ -309,7 +302,7 @@ def generate_instance(
                 raise DimensionError("implanted pair dimensions do not match the instance")
             y[mask] = op.bilinear_forward(pair.w, pair.x)[mask]
 
-    return ProblemInstance(op=op, y=y, truth=truth, outlier_mask=mask, nu=nu, seed=seed)
+    return ProblemInstance(op=op, y=y, truth=truth, outlier_mask=mask, seed=seed)
 
 
 def objective(inst: ProblemInstance, p: SignalPair) -> float:
@@ -396,7 +389,6 @@ def save_instance(inst: ProblemInstance, path: str | Path) -> None:
         "w_bar": inst.truth.w_bar,
         "x_bar": inst.truth.x_bar,
         "outlier_mask": inst.outlier_mask,
-        "nu": np.float64(inst.nu),
         "seed": np.int64(inst.seed),
     }
     _pack_side("left", inst.op.left, payload)
@@ -413,6 +405,5 @@ def load_instance(path: str | Path) -> ProblemInstance:
             y=data["y"],
             truth=GroundTruth(w_bar=data["w_bar"], x_bar=data["x_bar"]),
             outlier_mask=data["outlier_mask"],
-            nu=float(data["nu"]),
             seed=int(data["seed"]),
         )

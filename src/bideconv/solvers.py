@@ -308,7 +308,7 @@ def admm_lad_prox(
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     m, n = a_mat.shape
-    clip = region is not None and not math.isinf(region.radius)
+    clip = region is not None
     center = np.zeros(n) if center is None else center
     u, u2 = (np.zeros(m), np.zeros(n)) if duals is None else duals
     blocks = (slice(0, d1), slice(d1, n))

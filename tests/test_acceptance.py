@@ -23,7 +23,7 @@ from bideconv.experiments import (
     run_init_quality,
     solve_instance,
 )
-from bideconv.geometry import SolutionSet, dist_to_solution_set, dist_to_solution_set_many
+from bideconv.geometry import SolutionSet, _dist_squared_many, dist_to_solution_set
 from bideconv.model import (
     GroundTruth,
     NoiseSpec,
@@ -239,7 +239,7 @@ def test_sharpness_lower_bound():
     samples, batch, margin = 100_000, 20_000, np.inf
     for _ in range(samples // batch):
         w_stack, x_stack = ball(batch, 5), ball(batch, 5)
-        dist = dist_to_solution_set_many(w_stack, x_stack, sol)
+        dist = np.sqrt(_dist_squared_many(w_stack, x_stack, truth, sol.nu))
         cross = (w_stack @ truth.w_bar) * (x_stack @ truth.x_bar)
         err_sq = (
             np.einsum("ij,ij->i", w_stack, w_stack)

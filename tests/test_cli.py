@@ -120,6 +120,17 @@ class TestExitCodes:
             ["solve", "--c", "two"],
             ["phase", "--trials", "0", "--d1", "4", "--d2", "4"],
             ["solve", "--d1", "5,6"],
+            ["solve", "--nu", "2"],
+            # commands that run one cell take one value of each grid they read
+            ["solve", *TINY, "--c", "4,8"],
+            ["solve", *TINY, "--solver", "geometric", "--pfail", "0.1,0.3"],
+            ["solve", *TINY, "--noise", "n1,sigma=1,10"],
+            ["solve", *TINY, "--q", "0.9,0.95"],
+            ["rip-probe", *TINY, "--c", "4,8"],
+            ["rip-probe", *TINY, "--pfail", "0.1,0.3"],
+            ["rip-probe", *TINY, "--noise", "n1,sigma=1,10"],
+            ["sweep-q", *TINY, "--pfail", "0.1,0.3"],
+            ["sweep-q", *TINY, "--noise", "n1,sigma=1,10"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):

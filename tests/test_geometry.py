@@ -11,12 +11,11 @@ from bideconv.geometry import (
     FeasibleRegion,
     LandscapeEstimate,
     SolutionSet,
+    _dist_squared_many,
     dist_to_solution_set,
-    dist_to_solution_set_many,
     estimate_rip_constants,
     project_feasible,
     relative_error,
-    sharpness_witness_scan,
 )
 from bideconv.linops import DenseOperator, MeasurementOperator
 from bideconv.model import GroundTruth, SignalPair, generate_instance
@@ -42,13 +41,6 @@ class TestProjection:
         np.testing.assert_allclose(q.w, [1.0, 0.0], atol=1e-15)
         np.testing.assert_array_equal(q.x, p.x)
 
-    def test_unconstrained_region_is_identity(self):
-        region = FeasibleRegion.unconstrained()
-        p = SignalPair(w=np.full(3, 1e8), x=np.full(2, -1e9))
-        q = project_feasible(p, region)
-        np.testing.assert_array_equal(q.w, p.w)
-        np.testing.assert_array_equal(q.x, p.x)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_on_disks(self, seed):
         rng = np.random.default_rng(seed)
@@ -65,12 +57,11 @@ class TestProjection:
             assert mine <= brute + 1e-9
             assert brute - mine <= 5e-3
 
-    def test_radius_from_truth_and_estimate(self):
-        truth = GroundTruth(w_bar=np.array([2.0]), x_bar=np.array([2.0]))
-        assert FeasibleRegion.from_truth(truth, nu=1.5).radius == pytest.approx(3.0)
-        assert FeasibleRegion.from_estimate(8.0).radius == pytest.approx(4.0)
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_radius_that_is_not_positive_and_finite(self, radius):
+        # no region is region=None; an infinite ball would be a second way to say it
         with pytest.raises(ValueError):
-            FeasibleRegion(radius=0.0)
+            FeasibleRegion(radius=radius)
 
 
 class TestDistance:
@@ -133,7 +124,7 @@ class TestDistance:
         sol = SolutionSet(truth=truth, nu=2.0)
         ws = rng.standard_normal((8, 4))
         xs = rng.standard_normal((8, 4))
-        batch = dist_to_solution_set_many(ws, xs, sol)
+        batch = np.sqrt(_dist_squared_many(ws, xs, truth, sol.nu))
         singles = [dist_to_solution_set(SignalPair(w=w, x=x), sol) for w, x in zip(ws, xs)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -254,13 +245,6 @@ class TestSharpnessScan:
         den = dist_to_solution_set(p, sol)
         assert num / den == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert num / den >= sol.sharpness_bound
-
-    def test_scan_respects_lower_bound_small(self):
-        rng = np.random.default_rng(11)
-        truth = random_truth(rng, 5, 5)
-        sol = SolutionSet(truth=truth, nu=2.0)
-        worst = sharpness_witness_scan(sol, samples=5000, seed=12)
-        assert worst >= sol.sharpness_bound - 1e-9
 
     def test_bound_value(self):
         truth = GroundTruth(w_bar=np.array([1.0]), x_bar=np.array([1.0]))

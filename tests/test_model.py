@@ -37,7 +37,6 @@ def tiny_instance(left_entries, right_entries, y, w_bar=None, x_bar=None) -> Pro
         y=np.asarray(y, dtype=float),
         truth=truth,
         outlier_mask=np.zeros(op.m, dtype=bool),
-        nu=2.0,
         seed=0,
     )
 
@@ -368,7 +367,7 @@ class TestSerialization:
         np.testing.assert_array_equal(back.outlier_mask, inst.outlier_mask)
         np.testing.assert_array_equal(back.truth.w_bar, inst.truth.w_bar)
         np.testing.assert_array_equal(back.truth.x_bar, inst.truth.x_bar)
-        assert back.nu == inst.nu and back.seed == inst.seed
+        assert back.seed == inst.seed
         v = np.random.default_rng(0).standard_normal(4)
         np.testing.assert_array_equal(
             back.op.left.apply_forward(v), inst.op.left.apply_forward(v)

@@ -129,7 +129,7 @@ class TestPolyak:
         # and the distance is measured between them.
         for seed in range(8):
             inst = generate_instance(6, 6, 96, seed=100 + seed)
-            sol = SolutionSet(truth=inst.truth, nu=inst.nu)
+            sol = SolutionSet(truth=inst.truth, nu=math.sqrt(2.0))
             p = perturbed_start(inst, 0.05, seed)
             dists = [dist_to_solution_set(p, sol)]
             for _ in range(60):
@@ -183,7 +183,7 @@ class TestGeometric:
 
     def test_projection_keeps_iterates_feasible(self):
         inst = generate_instance(6, 6, 96, seed=15)
-        region = FeasibleRegion.from_truth(inst.truth, nu=math.sqrt(2.0))
+        region = FeasibleRegion(radius=math.sqrt(2.0) * math.sqrt(inst.truth.magnitude))
         cfg = SolverConfig(max_iters=40, lambda0=5.0, decay_q=0.95, region=region)
         final, _ = geometric_subgradient(inst, perturbed_start(inst, 0.2, 16), cfg)
         assert np.linalg.norm(final.w) <= region.radius + 1e-12

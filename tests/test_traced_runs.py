@@ -4,9 +4,10 @@
 wrappers.  A traced run is only valid when every counted operator product is
 one product span, every Hadamard product runs its FWHT through the wrapped
 module global, and the traced solve returns exactly what the plain solve
-returned, so no state may carry over from one solve to the next.  The
-benchmark also bounds the tracer's timing overhead; a timing bound would be
-flaky here, so it stays there.
+returned, so no state may carry over from one solve to the next.  Both
+solves' outputs must also pass the benchmark's own output checks
+(``bench/checks.py``).  The benchmark also bounds the tracer's timing
+overhead; a timing bound would be flaky here, so it stays there.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import checks  # noqa: E402
 import tracing  # noqa: E402
 
 from bideconv import linops, solvers, spectral_init  # noqa: E402
@@ -33,7 +35,14 @@ def solve(inst, solver: str, cfg: solvers.SolverConfig):
     with linops.count_matvecs() as counter:
         est = spectral_init.spectral_initialize(inst)
         point, trace = getattr(solvers, solver)(inst, SignalPair(w=est.w0, x=est.x0), cfg)
-    return point, trace, counter.count
+    return est, point, trace, counter.count
+
+
+def output_errors(ref: checks.Reference, est, point, trace) -> list[str]:
+    """What the benchmark's output checks find wrong in one trial."""
+    _, msg = checks.check_point(ref, point.w, point.x, trace.final.relative_error)
+    found = [msg, checks.check_objective(ref, point.w, point.x, trace.final.objective)]
+    return [m for m in found if m is not None] + checks.check_init(ref, est)
 
 
 @pytest.mark.parametrize(
@@ -47,11 +56,11 @@ def solve(inst, solver: str, cfg: solvers.SolverConfig):
 )
 def test_traced_solve_matches_plain_solve(solver, left, d, cfg):
     inst = generate_instance(d, d, 16 * d, left=left, noise=NoiseSpec.gaussian(0.1, sigma=1.0), seed=7)
-    plain_point, plain_trace, plain_products = solve(inst, solver, cfg)
+    plain_est, plain_point, plain_trace, plain_products = solve(inst, solver, cfg)
 
     recorder = tracing.SpanRecorder()
     with recorder.installed():
-        point, trace, products = solve(inst, solver, cfg)
+        est, point, trace, products = solve(inst, solver, cfg)
     calls = recorder.summarize(0, len(recorder))["calls"]
 
     def spans(name: str) -> int:
@@ -65,3 +74,6 @@ def test_traced_solve_matches_plain_solve(solver, left, d, cfg):
     np.testing.assert_array_equal(point.x, plain_point.x)
     assert len(trace.records) == len(plain_trace.records) > 1
     assert trace.records == plain_trace.records
+    ref = checks.build_reference(inst)
+    assert output_errors(ref, plain_est, plain_point, plain_trace) == []
+    assert output_errors(ref, est, point, trace) == []
