@@ -117,11 +117,11 @@ _TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
 _ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 # the grids a command reads one value of, by ExperimentSpec field and setting
+# (ExperimentSpec itself rejects a sweep-q grid of several p_fails or sigmas)
 _GRID_NAMES = {"m_ratios": "c", "p_fails": "pfail", "sigmas": "noise sigma", "qs": "q"}
 _ONE_VALUE_GRIDS = {
     "solve": ("m_ratios", "p_fails", "sigmas", "qs"),
     "rip-probe": ("m_ratios", "p_fails", "sigmas"),
-    "sweep-q": ("p_fails", "sigmas"),
 }
 
 

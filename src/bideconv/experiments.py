@@ -95,6 +95,8 @@ class ExperimentSpec:
         ):
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            if self.kind == "qsweep" and name in ("p_fails", "sigmas") and len(grid) > 1:
+                raise ValueError(f"a qsweep runs at one value of {name}, got {len(grid)}")
         if self.solver not in SOLVER_FUNCTIONS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.init not in ("spectral", "random-heuristic"):
@@ -258,7 +260,7 @@ def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
 
 def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
     """Mean final error of the decaying-step method per (q, c) cell, at the
-    spec's first p_fail and sigma (the CLI allows only one of each)."""
+    spec's p_fail and sigma (a qsweep spec holds one of each)."""
     table = ResultTable()
     p_fail, sigma = spec.p_fails[0], spec.sigmas[0]
     geometric = replace(spec, solver="geometric")

@@ -16,6 +16,10 @@ linearly off the solution set) and weakly convex, so
 They also share one run loop, ``_run``: each solver only generates its
 iterates (the two subgradient methods differ only in their step rule), and
 the loop records every iterate and decides when the run stops.
+
+SciPy is a dependency, but only the prox-linear Newton steps use it, so it is
+loaded on their first Cholesky factorization rather than when the package is
+imported; a subgradient run never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import (
     FeasibleRegion,
@@ -42,6 +45,25 @@ from .model import (
     linearized_residual_operator,
     objective_and_subgradient,
 )
+
+
+@functools.cache
+def _scipy_linalg():
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+# Module globals that ``admm_lad_prox`` looks up at each call, so that a tracer
+# can wrap them by name (the benchmark's does).
+def cho_factor(*args, **kwargs):
+    """``scipy.linalg.cho_factor``; SciPy is imported on the first call."""
+    return _scipy_linalg().cho_factor(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    """``scipy.linalg.cho_solve``; SciPy is imported on the first call."""
+    return _scipy_linalg().cho_solve(*args, **kwargs)
 
 
 # Objective decrease below which the stall counter does not reset.
@@ -95,7 +117,10 @@ class Trace:
     """Per-iteration progress log; one record per visited iterate.
 
     ``diverged`` is set when a run stopped because its objective became
-    non-finite; the last record is then the first non-finite iterate.
+    non-finite; the last record is then the first non-finite iterate.  When a
+    step leaves the floating-point range, so that the new point has non-finite
+    entries, the run returns the last finite point, and the last record holds
+    that point's relative error with an infinite objective.
     """
 
     max_iters: int
@@ -183,10 +208,12 @@ def _subgradient_iterates(
         if taken is None:
             return
         scale, step = taken
-        p = _project(
-            SignalPair(w=p.w - scale * grad[: inst.d1], x=p.x - scale * grad[inst.d1 :]),
-            cfg.region,
-        )
+        try:
+            moved = SignalPair(w=p.w - scale * grad[: inst.d1], x=p.x - scale * grad[inst.d1 :])
+        except ValueError:  # non-finite entries
+            yield p, math.inf, step, {}
+            return
+        p = _project(moved, cfg.region)
         f, grad = objective_and_subgradient(inst, p)
         yield p, f, step, {}
 
@@ -402,14 +429,19 @@ def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPai
             duals=duals,
         )
         duals = result.duals
-        p = SignalPair(w=p.w + result.z[: inst.d1], x=p.x + result.z[inst.d1 :])
-        a_mat, y_tilde = linearized_residual_operator(inst, p)
+        step = float(np.linalg.norm(result.z))
         inner = {
             "inner_iters": result.iterations,
             "inner_exhausted": result.exhausted,
             "inner_gap": result.gap,
         }
-        yield p, float(np.abs(y_tilde).mean()), float(np.linalg.norm(result.z)), inner
+        try:
+            p = SignalPair(w=p.w + result.z[: inst.d1], x=p.x + result.z[inst.d1 :])
+        except ValueError:  # non-finite entries
+            yield p, math.inf, step, inner
+            return
+        a_mat, y_tilde = linearized_residual_operator(inst, p)
+        yield p, float(np.abs(y_tilde).mean()), step, inner
 
 
 def prox_linear(

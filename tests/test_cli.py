@@ -157,13 +157,17 @@ class TestExitCodes:
         assert "missing-dir" in err
 
     def test_divergent_solve_exits_1(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["solve", *TINY, "--solver", "geometric", "--lambda", "1e300", "--iters", "5"],
-        )
-        assert code == 1
-        assert "runtime failure" in err and "diverged" in err
-        assert "final relative error" not in out
+        # the first step lands on a finite point whose objective overflows; the
+        # second lands on a point that is itself non-finite
+        overflowing = ["--d1", "8", "--d2", "8", "--c", "8", "--pfail", "0.1", "--seed", "1"]
+        for instance, step in ((TINY, "1e300"), (overflowing, "1e308")):
+            code, out, err = run(
+                capsys,
+                ["solve", *instance, "--solver", "geometric", "--lambda", step, "--iters", "5"],
+            )
+            assert code == 1
+            assert "runtime failure" in err and "diverged" in err
+            assert "final relative error" not in out
 
     @pytest.mark.parametrize("command", ["phase", "sweep-q"])
     def test_divergent_experiment_exits_1(self, capsys, tmp_path, command):

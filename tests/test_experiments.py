@@ -209,6 +209,12 @@ class TestRunQSweep:
         assert fast < slow
         assert slow > 1e-5
 
+    @pytest.mark.parametrize("grid", ["p_fails", "sigmas"])
+    def test_spec_rejects_several_values_of_a_fixed_grid(self, grid):
+        # the sweep runs at one p_fail and one sigma; a second value would be dropped
+        with pytest.raises(ValueError, match=grid):
+            small_spec(kind="qsweep", solver="geometric", **{grid: (0.1, 0.3)})
+
 
 class TestRunInitQuality:
     def test_median_matches_trial_rows(self):

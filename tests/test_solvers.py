@@ -506,6 +506,32 @@ class TestRunLoop:
         assert len(trace.records) == 1
         assert math.isinf(trace.final.objective)
 
+    def test_overflowing_step_diverges_at_last_finite_point(self, solver, monkeypatch):
+        settings = {
+            polyak_subgradient: {"min_value": -1e308},
+            # lambda0 / ||grad|| overflows here, where ||grad|| is 0.70 at the start
+            geometric_subgradient: {"lambda0": 1.7e308},
+            prox_linear: {},
+        }[solver]
+        if solver is prox_linear:
+            # no LAD-prox solve on a finite instance overflows, so make the first one
+            def overflowing(*args, **kwargs):
+                result = admm_lad_prox(*args, **kwargs)
+                return result._replace(z=np.full_like(result.z, np.inf))
+
+            monkeypatch.setattr(solvers, "admm_lad_prox", overflowing)
+        inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=45)
+        start = perturbed_start(inst, 0.3, 46)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point, trace = solver(inst, start, SolverConfig(max_iters=5, **settings))
+        assert trace.diverged
+        assert trace.column("iteration") == [0, 1]
+        assert math.isinf(trace.final.objective)
+        np.testing.assert_array_equal(point.w, start.w)
+        np.testing.assert_array_equal(point.x, start.x)
+        assert trace.final.relative_error == trace.records[0].relative_error
+
 
 class TestConfigAndTrace:
     def test_trace_rejects_nonmonotone_iterations(self):

@@ -70,6 +70,10 @@ def test_traced_solve_matches_plain_solve(solver, left, d, cfg):
     assert sum(spans(name) for name in tracing.PRODUCT_SPANS) == products
     assert spans("linops.fwht") == spans("linops.hadamard_product")
     assert (spans("linops.hadamard_product") > 0) == (left == "hadamard")
+    # one factorization and one solve per Newton step, each through the wrapped global
+    newton_steps = sum(trace.column("inner_iters"))
+    assert spans("solvers.chol_factor") == spans("solvers.chol_solve") == newton_steps
+    assert (newton_steps > 0) == (solver == "prox_linear")
     np.testing.assert_array_equal(point.w, plain_point.w)
     np.testing.assert_array_equal(point.x, plain_point.x)
     assert len(trace.records) == len(plain_trace.records) > 1
