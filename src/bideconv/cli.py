@@ -259,6 +259,12 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
     print(f"c_outlier    = {est.c_outlier:.10g}")
     print(f"upper/lower  = {est.c_upper / est.c_lower:.10g}")
     print(f"samples      = {est.sample_count}")
+    table = ResultTable()
+    config = (("c", spec.m_ratios[0]), ("p_fail", spec.p_fails[0]), ("sigma", spec.sigmas[0]))
+    for statistic in ("c_lower", "c_upper", "c_outlier"):
+        table.add(config, statistic, getattr(est, statistic))
+    table.add(config, "samples", est.sample_count)
+    _maybe_emit(table, out)
     return 0
 
 

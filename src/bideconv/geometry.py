@@ -86,7 +86,7 @@ def _dist_squared_many(
     """Squared distance to the solution set for a batch of stacked candidates."""
     w_bar = truth.w_bar
     x_bar = truth.x_bar
-    b = float(w_bar @ w_bar)
+    b = float(truth.w_bar_sqnorm)
     e = float(x_bar @ x_bar)
     a = w_stack @ w_bar
     c = x_stack @ x_bar
@@ -143,7 +143,7 @@ def _matrix_error_squared_many(w: np.ndarray, x: np.ndarray, truth: GroundTruth)
     relative accuracy down to exact recovery.
     """
     w_bar = truth.w_bar
-    b = w_bar @ w_bar
+    b = truth.w_bar_sqnorm
     alpha = (w @ w_bar)[..., None] / b
     dw = w - alpha * w_bar
     dx = alpha * x - truth.x_bar
@@ -152,7 +152,7 @@ def _matrix_error_squared_many(w: np.ndarray, x: np.ndarray, truth: GroundTruth)
 
 def relative_error(p: SignalPair, truth: GroundTruth) -> float:
     """||w x^T - w_bar x_bar^T||_F / ||w_bar x_bar^T||_F via inner products."""
-    return float(np.sqrt(_matrix_error_squared_many(p.w, p.x, truth)) / truth.magnitude)
+    return math.sqrt(_matrix_error_squared_many(p.w, p.x, truth)) / truth.magnitude
 
 
 @dataclass(frozen=True)

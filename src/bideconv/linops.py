@@ -83,22 +83,27 @@ def fwht(v: np.ndarray, normalized: bool = False) -> np.ndarray:
     variant is the plain ±1 (Sylvester-ordered) Hadamard product.
 
     Accepts any array whose last axis has power-of-two length; leading axes
-    are treated as a batch.
+    are treated as a batch of R rows.  The stages run on the whole batch as
+    one flat vector, so each is two NumPy calls whatever R is: none of the
+    log2(d) stages pairs entries of two rows, and together they leave entry
+    j of row r at flat position j·R + r, which one transposing copy puts
+    back.  Returns a new C-ordered array.
     """
     a = np.array(v, dtype=np.float64, order="C")  # always copies, also promotes ints
     d = a.shape[-1]
     if d < 1 or (d & (d - 1)) != 0:
         raise DimensionError(f"fwht length must be a power of two, got {d}")
-    pair = (a, np.empty_like(a))
-    flat = [x.reshape(d) if x.size == d else x.reshape(-1, d) for x in pair]  # 1-D is faster
-    h = d // 2
-    views = [(x[..., 0::2], x[..., 1::2], y[..., :h], y[..., h:]) for x, y in (flat, flat[::-1])]
+    x = a.reshape(-1)
+    y = np.empty_like(x)
+    h = x.size // 2
+    views = ((x[0::2], x[1::2], y[:h], y[h:]), (y[0::2], y[1::2], x[:h], x[h:]))
     stages = d.bit_length() - 1
     for s in range(stages):
-        even, odd, sums, diffs = views[s % 2]
-        np.add(even, odd, out=sums)
-        np.subtract(even, odd, out=diffs)
-    a = pair[stages % 2]
+        even, odd, sums, diffs = views[s & 1]
+        np.add(even, odd, sums)
+        np.subtract(even, odd, diffs)
+    out = (y if stages & 1 else x).reshape(d, -1)  # entry j of row r is out[j, r]
+    a = np.ascontiguousarray(out.T).reshape(a.shape)
     if normalized:
         a *= 1.0 / math.sqrt(d)
     return a
@@ -199,25 +204,29 @@ class HadamardSignOperator:
         return self.block_count * self.dim
 
     def apply_forward(self, v: np.ndarray) -> np.ndarray:
+        """L v: block b is H_n (S_b v) repeated dim/n times, by one broadcast
+        copy; v is zero-padded to length n only if ``input_dim`` is not n."""
         v = _as_vector(v, self.input_dim, "input")
         _tick_matvec()
         n = 1 << (self.input_dim - 1).bit_length()  # smallest power of two >= input_dim
-        padded = np.zeros(n)
-        padded[: self.input_dim] = v
-        # L v = H (S_b v) blockwise, which is H_n (S_b v) tiled dim/n times
-        blocks = fwht(self.sign_diagonals[:, :n] * padded)
+        if n > self.input_dim:
+            v = np.concatenate((v, np.zeros(n - self.input_dim)))
+        blocks = fwht(self.sign_diagonals[:, :n] * v)
         if self.normalized:
             blocks *= 1.0 / math.sqrt(self.dim)
-        return np.tile(blocks, self.dim // n).ravel()
+        out = np.empty((self.block_count, self.dim // n, n))
+        out[...] = blocks[:, None, :]
+        return out.reshape(-1)
 
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
+        """Lᵀ u = sum_b S_b H u_b (H is symmetric), first n entries only: the
+        top stages of H_dim just sum adjacent length-n parts, so one batched
+        FWHT of length n precedes log2(dim/n) pairwise sums of parts."""
         u = _as_vector(u, self.m, "input")
         _tick_matvec()
-        # (H S_b)^T u_b = S_b H u_b since H is symmetric.  Only its first n entries
-        # are kept: the top stages of H_dim just sum adjacent length-n parts.
         n = 1 << (self.input_dim - 1).bit_length()
         parts = fwht(u.reshape(-1, n))
-        while parts.shape[0] > self.block_count:
+        for _ in range((self.dim // n).bit_length() - 1):
             parts = parts[0::2] + parts[1::2]
         if self.normalized:
             parts *= 1.0 / math.sqrt(self.dim)

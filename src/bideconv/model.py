@@ -41,7 +41,7 @@ def _clean_vector(v: np.ndarray, what: str) -> np.ndarray:
     arr = np.ascontiguousarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"{what} must be a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
@@ -101,6 +101,11 @@ class GroundTruth:
     def magnitude(self) -> float:
         """``norm(w_bar x_bar^T)_F``, the size of the planted matrix."""
         return float(np.linalg.norm(self.w_bar) * np.linalg.norm(self.x_bar))
+
+    @cached_property
+    def w_bar_sqnorm(self) -> np.float64:
+        """``w_bar @ w_bar``, which every relative-error evaluation needs."""
+        return self.w_bar @ self.w_bar
 
     @classmethod
     def balanced(cls, w: np.ndarray, x: np.ndarray) -> "GroundTruth":
@@ -321,15 +326,15 @@ def objective_and_subgradient(inst: ProblemInstance, p: SignalPair) -> tuple[flo
     computed with exactly four operator products: the two forward products
     feed both the value and the weighting of the two transpose products.
     """
+    left, right = inst.op.left, inst.op.right
     # R, L, L^T, R^T: the next call starts with R, so each side is read twice in a row
-    rx = inst.op.right.apply_forward(p.x)
-    lw = inst.op.left.apply_forward(p.w)
+    rx = right.apply_forward(p.x)
+    lw = left.apply_forward(p.w)
     resid = lw * rx - inst.y
     sign = np.sign(resid)
-    scale = 1.0 / inst.m
-    grad_w = scale * inst.op.left.apply_transpose(sign * rx)
-    grad_x = scale * inst.op.right.apply_transpose(sign * lw)
-    return float(np.abs(resid).mean()), np.concatenate([grad_w, grad_x])
+    grad = np.concatenate([left.apply_transpose(sign * rx), right.apply_transpose(sign * lw)])
+    grad *= 1.0 / resid.size
+    return float(np.add.reduce(np.abs(resid)) / resid.size), grad
 
 
 def linearized_residual_operator(

@@ -100,8 +100,9 @@ class SolverConfig:
             raise ValueError(f"prox_beta must be positive, got {self.prox_beta}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One visited iterate: its value, error, step and the work spent so far."""
+
     iteration: int
     objective: float
     relative_error: float
@@ -169,11 +170,12 @@ def _run(
     p = _project(start, cfg.region)
     with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
         for k, (p, f, step, inner) in zip(range(cfg.max_iters + 1), iterates(p)):
+            error = relative_error(p, inst.truth)
             trace.append(
                 TraceRecord(
                     iteration=k,
                     objective=f,
-                    relative_error=relative_error(p, inst.truth),
+                    relative_error=error,
                     step_size=step,
                     matvecs=counter.count,
                     **inner,
@@ -186,7 +188,7 @@ def _run(
                 continue
             if f < best_objective - _STALL_TOL:
                 best_objective, last_improvement = f, k
-            if cfg.tol_rel_err > 0.0 and trace.final.relative_error <= cfg.tol_rel_err:
+            if cfg.tol_rel_err > 0.0 and error <= cfg.tol_rel_err:
                 break
             if cfg.stall_window is not None and k - last_improvement >= cfg.stall_window:
                 break
@@ -258,7 +260,7 @@ def geometric_subgradient(
     """
 
     def rule(k: int, f: float, grad: np.ndarray) -> tuple[float, float] | None:
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad @ grad)  # what np.linalg.norm computes, without its checks
         if gnorm == 0.0:
             return None
         step = cfg.lambda0 * cfg.decay_q ** (k - 1)

@@ -318,6 +318,27 @@ class TestExperimentCommands:
         upper = float(out.split("c_upper")[1].split("=")[1].split()[0])
         assert 0.0 < lower <= upper
 
+    def test_rip_probe_writes_its_constants_to_csv(self, capsys, tmp_path):
+        out_file = tmp_path / "rip.csv"
+        code, out, _ = run(capsys, ["rip-probe", *TINY, "--trials", "20", "--out", str(out_file)])
+        assert code == 0
+        assert f"wrote 4 rows to {out_file}" in out
+        printed = {
+            key.strip(): value.strip()
+            for key, _, value in (line.partition("=") for line in out.splitlines())
+        }
+        rows = out_file.read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "config,statistic,value"
+        written = {}
+        for row in rows[1:]:
+            config, statistic, value = row.split(",")
+            assert config == "c=4;p_fail=0;sigma=1"
+            written[statistic] = float(value)
+        assert sorted(written) == ["c_lower", "c_outlier", "c_upper", "samples"]
+        assert written["samples"] == 20 == int(printed["samples"])
+        for statistic in ("c_lower", "c_upper", "c_outlier"):
+            assert f"{written[statistic]:.10g}" == printed[statistic]
+
     def test_csv_bytes_stable_across_invocations(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["phase", *TINY, "--iters", "80", "--trials", "2"]

@@ -215,6 +215,23 @@ class TestGeometric:
         assert trace.final.iteration == 1
         assert math.isinf(trace.final.objective)
 
+    def test_hadamard_left_solve_is_pinned_bit_for_bit(self):
+        # a solve of the geometric-hadamard benchmark's size (partial-Hadamard left,
+        # d = 64, m = 16 d), pinned to the last bit as the README example pins a
+        # dense one; with one BLAS thread, as conftest.py sets
+        inst = generate_instance(
+            64, 64, 1024, left="hadamard", noise=NoiseSpec.gaussian(0.05, sigma=1.0), seed=7
+        )
+        est = spectral_initialize(inst)
+        cfg = SolverConfig(
+            max_iters=2000, lambda0=1.0, decay_q=0.98, tol_rel_err=1e-4, stall_window=None
+        )
+        _, trace = geometric_subgradient(inst, SignalPair(w=est.w0, x=est.x0), cfg)
+        assert len(trace.records) == 438
+        assert trace.final.matvecs == 1752
+        assert trace.final.relative_error == float.fromhex("0x1.98d545e6a9c13p-14")
+        assert trace.final.objective == float.fromhex("0x1.2b5bd7b0842a2p-5")
+
     def test_divergent_run_prints_no_warnings(self):
         # the overflow is reported through Trace.diverged, not as NumPy warnings
         inst = generate_instance(5, 5, 40, seed=3)

@@ -51,8 +51,17 @@ def output_errors(ref: checks.Reference, est, point, trace) -> list[str]:
         ("geometric_subgradient", "gaussian", 16, GEOMETRIC),
         ("geometric_subgradient", "hadamard", 16, GEOMETRIC),
         ("prox_linear", "gaussian", 8, PROXLINEAR),
+        # the geometric benchmark workloads' own sizes, m = 16 d as there
+        ("geometric_subgradient", "gaussian", 100, GEOMETRIC),
+        ("geometric_subgradient", "hadamard", 64, GEOMETRIC),
     ],
-    ids=["geometric-dense", "geometric-hadamard", "proxlinear-dense"],
+    ids=[
+        "geometric-dense",
+        "geometric-hadamard",
+        "proxlinear-dense",
+        "geometric-dense-d100",
+        "geometric-hadamard-d64",
+    ],
 )
 def test_traced_solve_matches_plain_solve(solver, left, d, cfg):
     inst = generate_instance(d, d, 16 * d, left=left, noise=NoiseSpec.gaussian(0.1, sigma=1.0), seed=7)
