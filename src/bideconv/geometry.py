@@ -133,8 +133,8 @@ def dist_to_solution_set(p: SignalPair, sol: SolutionSet) -> float:
     return float(np.sqrt(d2[0]))
 
 
-def _matrix_error_squared_many(w: np.ndarray, x: np.ndarray, truth: GroundTruth) -> np.ndarray:
-    """||w x^T - w_bar x_bar^T||_F^2 for one pair, or batched over rows of stacks.
+def relative_error(p: SignalPair, truth: GroundTruth) -> float:
+    """||w x^T - w_bar x_bar^T||_F / ||w_bar x_bar^T||_F via inner products.
 
     With alpha = <w, w_bar> / ||w_bar||^2 the error splits into
     w_bar (alpha x - x_bar)^T + (w - alpha w_bar) x^T, two rank-one parts that
@@ -142,17 +142,14 @@ def _matrix_error_squared_many(w: np.ndarray, x: np.ndarray, truth: GroundTruth)
     Their squared norms add with no cancellation, so the result keeps full
     relative accuracy down to exact recovery.
     """
-    w_bar = truth.w_bar
+    w, x, w_bar = p.w, p.x, truth.w_bar
     b = truth.w_bar_sqnorm
-    alpha = (w @ w_bar)[..., None] / b
+    alpha = (w @ w_bar) / b
     dw = w - alpha * w_bar
     dx = alpha * x - truth.x_bar
-    return b * (dx * dx).sum(axis=-1) + (dw * dw).sum(axis=-1) * (x * x).sum(axis=-1)
-
-
-def relative_error(p: SignalPair, truth: GroundTruth) -> float:
-    """||w x^T - w_bar x_bar^T||_F / ||w_bar x_bar^T||_F via inner products."""
-    return math.sqrt(_matrix_error_squared_many(p.w, p.x, truth)) / truth.magnitude
+    # np.add.reduce is ndarray.sum's pairwise sum; a dot product rounds differently
+    err2 = b * np.add.reduce(dx * dx) + np.add.reduce(dw * dw) * np.add.reduce(x * x)
+    return math.sqrt(err2) / truth.magnitude
 
 
 @dataclass(frozen=True)

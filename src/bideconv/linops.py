@@ -7,10 +7,15 @@ realizations of the row stacks L and R used throughout the package:
 * :class:`DenseOperator` — an explicit m×d matrix.
 * :class:`HadamardSignOperator` — a stack of Hadamard-times-sign blocks
   ``[H S_1; ...; H S_k]`` whose products run in O(m log n), n the smallest
-  power of two >= ``input_dim``, via the fast Walsh-Hadamard transform, for
-  the deterministic partial-Hadamard construction (keep the first
-  ``input_dim`` columns, unnormalized, columns of norm sqrt(m)) and the
-  normalized randomized-sign stacks.
+  power of two >= ``input_dim``, via the fast Walsh-Hadamard transform.
+  Unnormalized (entries ±1, columns of norm sqrt(m)) it is the deterministic
+  partial-Hadamard construction with all-plus signs, or a random-sign stack
+  with random ones; ``normalized=True`` scales H by 1/sqrt(dim).
+
+Each side also forms the second moment ``selected_gram(indices)`` of a row
+subset, which spectral initialization needs: the dense side from the
+selected rows, the unnormalized Hadamard side from per-block row counts
+without building any row.
 
 A :class:`MeasurementOperator` pairs one left and one right side sharing the
 same number of rows.  All operators are immutable and their products are
@@ -89,6 +94,15 @@ def fwht(v: np.ndarray, normalized: bool = False) -> np.ndarray:
     j of row r at flat position j·R + r, which one transposing copy puts
     back.  Returns a new C-ordered array.
     """
+    a = _butterfly(v)
+    if normalized:
+        a *= 1.0 / math.sqrt(a.shape[-1])
+    return a
+
+
+def _butterfly(v: np.ndarray) -> np.ndarray:
+    """``fwht`` without the scaling.  Operator products call ``fwht`` by its
+    module-global name, where a tracer counts them; other transforms call this."""
     a = np.array(v, dtype=np.float64, order="C")  # always copies, also promotes ints
     d = a.shape[-1]
     if d < 1 or (d & (d - 1)) != 0:
@@ -103,10 +117,7 @@ def fwht(v: np.ndarray, normalized: bool = False) -> np.ndarray:
         np.add(even, odd, sums)
         np.subtract(even, odd, diffs)
     out = (y if stages & 1 else x).reshape(d, -1)  # entry j of row r is out[j, r]
-    a = np.ascontiguousarray(out.T).reshape(a.shape)
-    if normalized:
-        a *= 1.0 / math.sqrt(d)
-    return a
+    return np.ascontiguousarray(out.T).reshape(a.shape)
 
 
 def _as_vector(v: np.ndarray, length: int, what: str) -> np.ndarray:
@@ -153,6 +164,11 @@ class DenseOperator:
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Materialize the requested measurement rows as a (len(indices), d) array."""
         return self.entries[np.asarray(indices, dtype=np.intp)]
+
+    def selected_gram(self, indices: np.ndarray) -> np.ndarray:
+        """Sum of l_i l_iᵀ over the requested rows, as ``rows.T @ rows``."""
+        rows = self.rows(indices)
+        return rows.T @ rows
 
     def to_dense(self) -> np.ndarray:
         return self.entries
@@ -243,6 +259,32 @@ class HadamardSignOperator:
         if self.normalized:
             h_rows *= 1.0 / math.sqrt(self.dim)
         return h_rows * self.sign_diagonals[block, : self.input_dim]
+
+    def selected_gram(self, indices: np.ndarray) -> np.ndarray:
+        """Sum of l_i l_iᵀ over the requested rows (repeats count again).
+
+        Unnormalized, the rows are never built.  H[j, a] H[j, c] = H[j, a ⊕ c],
+        and for a, c < n only j mod n matters, so with cnt_b the count of the
+        indices in block b per residue j mod n and ĉ_b = H_n cnt_b,
+        G[a, c] = Σ_b s_b[a] s_b[c] ĉ_b[a ⊕ c].  Every term is an integer,
+        so the sum is exact and equals ``rows.T @ rows`` to the bit, zeros
+        as +0.0.  Beyond the k·n counts, memory is O(input_dim²) whatever
+        the block count k.  Normalized entries are not integers, so that
+        side keeps the row product.
+        """
+        if self.normalized:
+            rows = self.rows(indices)
+            return rows.T @ rows
+        idx = np.asarray(indices, dtype=np.intp)
+        d = self.input_dim
+        n = 1 << (d - 1).bit_length()
+        key = (idx // self.dim) * n + (idx & (n - 1))  # n divides dim
+        counts = np.bincount(key, minlength=self.block_count * n).reshape(-1, n)
+        xor = np.bitwise_xor.outer(np.arange(d), np.arange(d))
+        gram = np.zeros((d, d))  # a -0.0 term added to this +0.0 start gives +0.0
+        for signs, spectrum in zip(self.sign_diagonals[:, :d], _butterfly(counts)):
+            gram += signs[:, None] * spectrum[xor] * signs
+        return gram
 
     def to_dense(self) -> np.ndarray:
         return self.rows(np.arange(self.m))

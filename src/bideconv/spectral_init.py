@@ -55,12 +55,17 @@ class DirectionMatrices(NamedTuple):
 
 
 def build_direction_matrices(inst: ProblemInstance, selected: np.ndarray) -> DirectionMatrices:
-    """Accumulate (1/m) sum of l_i l_i^T and r_i r_i^T over the selected rows."""
+    """(1/m) sum of l_i l_i^T and r_i r_i^T over the selected rows.
+
+    Each side forms its sum with ``selected_gram``: a dense side as the
+    product of the selected rows, an unnormalized Hadamard-sign side from
+    Walsh-transformed counts of the selected indices, building no row and
+    giving the same exact integers.
+    """
     selected = np.asarray(selected, dtype=np.intp)
-    lrows = inst.op.left.rows(selected)
-    rrows = inst.op.right.rows(selected)
     return DirectionMatrices(
-        left_moment=lrows.T @ lrows / inst.m, right_moment=rrows.T @ rrows / inst.m
+        left_moment=inst.op.left.selected_gram(selected) / inst.m,
+        right_moment=inst.op.right.selected_gram(selected) / inst.m,
     )
 
 

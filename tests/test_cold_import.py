@@ -2,8 +2,10 @@
 
 Only the prox-linear Newton steps use SciPy (``solvers.cho_factor`` and
 ``solvers.cho_solve``), and its import costs more than the rest of the
-package's together.  This test process may already hold SciPy, so the checks
-run in a fresh interpreter.  No timing is bounded here.
+package's together.  Spectral initialization and the geometric method, on
+dense and partial-Hadamard left sides alike, must not load it.  This test
+process may already hold SciPy, so the checks run in a fresh interpreter.
+No timing is bounded here.
 """
 
 import json
@@ -13,7 +15,8 @@ import sys
 from pathlib import Path
 
 from bideconv.model import NoiseSpec, SignalPair, generate_instance
-from bideconv.solvers import SolverConfig, prox_linear
+from bideconv.solvers import SolverConfig, geometric_subgradient, prox_linear
+from bideconv.spectral_init import spectral_initialize
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -38,17 +41,35 @@ code = cli.main(
 )
 after_geometric = scipy_modules()
 
-from test_cold_import import prox_linear_case
+from test_cold_import import hadamard_geometric_case, prox_linear_case
 
+hadamard = hadamard_geometric_case()
+after_hadamard = scipy_modules()
 result = prox_linear_case()
 print(json.dumps({{
     "after_import": after_import,
     "geometric_code": code,
     "after_geometric": after_geometric,
+    "hadamard": hadamard,
+    "after_hadamard": after_hadamard,
     "linalg_after_prox_linear": "scipy.linalg" in sys.modules,
     "result": result,
 }}))
 """
+
+
+def hadamard_geometric_case() -> dict:
+    """Spectral init and a geometric solve on a partial-Hadamard left side."""
+    inst = generate_instance(16, 16, 256, left="hadamard", noise=NoiseSpec.gaussian(0.1), seed=4)
+    est = spectral_initialize(inst)
+    point, trace = geometric_subgradient(
+        inst, SignalPair(w=est.w0, x=est.x0), SolverConfig(max_iters=50, stall_window=None)
+    )
+    return {
+        "w": point.w.tobytes().hex(),
+        "x": point.x.tobytes().hex(),
+        "records": repr(trace.records),
+    }
 
 
 def prox_linear_case() -> dict:
@@ -79,5 +100,7 @@ def test_scipy_waits_for_the_first_cholesky():
     assert report["after_import"] == []
     assert report["geometric_code"] == 0
     assert report["after_geometric"] == []
+    assert report["after_hadamard"] == []
+    assert report["hadamard"] == hadamard_geometric_case()
     assert report["linalg_after_prox_linear"]
     assert report["result"] == prox_linear_case()

@@ -130,6 +130,12 @@ class TestDenseOperator:
         np.testing.assert_array_equal(op.to_dense(), a)
         np.testing.assert_array_equal(op.rows(np.array([3, 0])), a[[3, 0]])
 
+    def test_selected_gram_is_the_rows_product(self):
+        rng = np.random.default_rng(2)
+        op = DenseOperator(entries=rng.standard_normal((9, 4)))
+        idx = np.array([7, 1, 1, 4])
+        assert_same_bits(op.selected_gram(idx), op.rows(idx).T @ op.rows(idx))
+
     def test_rejects_nonfinite(self):
         a = np.ones((2, 2))
         a[0, 1] = np.nan
@@ -198,6 +204,42 @@ class TestHadamardSignOperator:
             idx = rng.permutation(op.m)[: max(3, op.m // 3)]
             np.testing.assert_array_equal(op.rows(idx), dense[idx])
             np.testing.assert_array_equal(op.to_dense(), dense)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_selected_gram_is_the_rows_product(self, normalized):
+        # to the bit, zeros as +0.0, for every input_dim of dims 1-64 and two
+        # 1024-row blocks (the benchmark's partial-Hadamard shape first), at
+        # sorted, unsorted and repeated indices
+        rng = np.random.default_rng(17)
+        ops = [
+            random_hadamard_op(rng, k, d, input_dim, normalized)
+            for k in range(1, 5)
+            for d in (1, 2, 4, 8, 16, 32, 64)
+            for input_dim in range(1, d + 1)
+        ]
+        ops += [
+            HadamardSignOperator(np.ones((1, 1024)), 64, normalized),
+            random_hadamard_op(rng, 2, 1024, 1000, normalized),
+        ]
+        for op in ops:
+            size = int(rng.integers(1, op.m + 1))
+            for idx in (
+                np.sort(rng.choice(op.m, size=size, replace=False)),
+                rng.permutation(op.m)[:size],
+                rng.integers(0, op.m, size=2 * size),
+            ):
+                rows = op.rows(idx)
+                assert_same_bits(op.selected_gram(idx), rows.T @ rows)
+
+    @pytest.mark.parametrize("k,d,input_dim", [(1, 1, 1), (3, 8, 5), (2, 64, 64), (1, 1024, 64)])
+    def test_selected_gram_of_one_row_and_of_all_rows(self, k, d, input_dim):
+        rng = np.random.default_rng(k + d + input_dim)
+        op = random_hadamard_op(rng, k, d, input_dim)
+        for idx in (np.array([op.m - 1]), np.arange(op.m)):
+            rows = op.rows(idx)
+            assert_same_bits(op.selected_gram(idx), rows.T @ rows)
+        # the columns are orthogonal with norm sqrt(m)
+        assert_same_bits(op.selected_gram(np.arange(op.m)), op.m * np.eye(input_dim))
 
     @given(
         st.integers(min_value=1, max_value=4),

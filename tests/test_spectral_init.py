@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bideconv.model import NoiseSpec, generate_instance
 from bideconv.geometry import relative_error
-from bideconv.model import SignalPair
+from bideconv.linops import DenseOperator, HadamardSignOperator, MeasurementOperator
+from bideconv.model import GroundTruth, NoiseSpec, ProblemInstance, SignalPair, generate_instance
 from bideconv.spectral_init import (
     DegenerateFitError,
     build_direction_matrices,
@@ -156,8 +158,50 @@ class TestDirectionMatrices:
         # scaling by 1/m (not by the selected count) means fewer rows -> smaller trace
         assert np.trace(half.left_moment) < np.trace(full.left_moment)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_rows_are_built_only_where_the_moment_needs_them(self, normalized, monkeypatch):
+        # an unnormalized Hadamard side forms its moment from index counts;
+        # a normalized one, and a dense one, from the selected rows
+        rng = np.random.default_rng(8)
+        left = HadamardSignOperator(rng.choice([-1.0, 1.0], size=(3, 16)), 12, normalized)
+        right = DenseOperator(rng.standard_normal((48, 5)))
+        inst = ProblemInstance(
+            op=MeasurementOperator(left, right),
+            y=rng.standard_normal(48),
+            truth=GroundTruth(rng.standard_normal(12), rng.standard_normal(5)),
+            outlier_mask=np.zeros(48, dtype=bool),
+            seed=0,
+        )
+        calls = []
+        for side in (HadamardSignOperator, DenseOperator):
+            def counted(op, indices, rows=side.rows):
+                calls.append(type(op))
+                return rows(op, indices)
+            monkeypatch.setattr(side, "rows", counted)
+        spectral_initialize(inst)
+        expected = [HadamardSignOperator, DenseOperator] if normalized else [DenseOperator]
+        assert calls == expected
+
 
 class TestSpectralInitialize:
+    @pytest.mark.parametrize(
+        "d,m,seed,m_hat,w0_sha,x0_sha",
+        [
+            # the benchmark's partial-Hadamard shape: one 1024-row block
+            (64, 1024, 11, "-0x1.c68bac1e2c55ep-3", "152105dbe2156140", "5d33fe0734677751"),
+            # three 64-row blocks, input_dim not a power of two
+            (50, 192, 12, "-0x1.30a1247d6c5acp-3", "8dbb96bec63a8269", "18f13eb87a5c798a"),
+        ],
+    )
+    def test_hadamard_left_init_is_pinned_bit_for_bit(self, d, m, seed, m_hat, w0_sha, x0_sha):
+        # values from the row-product moments, which the count-based Hadamard
+        # moments must reproduce to the bit
+        inst = generate_instance(d, d, m, left="hadamard", noise=NoiseSpec.gaussian(0.05, sigma=1.0), seed=seed)
+        est = spectral_initialize(inst)
+        assert est.m_hat.hex() == m_hat
+        assert hashlib.sha256(est.w0.tobytes()).hexdigest()[:16] == w0_sha
+        assert hashlib.sha256(est.x0.tobytes()).hexdigest()[:16] == x0_sha
+
     def test_invariants(self):
         inst = generate_instance(8, 6, 112, noise=NoiseSpec.gaussian(0.25), seed=11)
         est = spectral_initialize(inst)
