@@ -116,12 +116,16 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
 _TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
 _ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
-# the grids a command reads one value of, by ExperimentSpec field and setting
-# (ExperimentSpec itself rejects a sweep-q grid of several p_fails or sigmas)
+# the grids a command reads one value of, by ExperimentSpec field and setting:
+# only sweep-q fans out over q (ExperimentSpec itself rejects a sweep-q grid
+# of several p_fails or sigmas)
 _GRID_NAMES = {"m_ratios": "c", "p_fails": "pfail", "sigmas": "noise sigma", "qs": "q"}
 _ONE_VALUE_GRIDS = {
     "solve": ("m_ratios", "p_fails", "sigmas", "qs"),
-    "rip-probe": ("m_ratios", "p_fails", "sigmas"),
+    "rip-probe": ("m_ratios", "p_fails", "sigmas", "qs"),
+    "init": ("qs",),
+    "converge": ("qs",),
+    "phase": ("qs",),
 }
 
 

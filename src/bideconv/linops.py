@@ -7,15 +7,16 @@ realizations of the row stacks L and R used throughout the package:
 * :class:`DenseOperator` — an explicit m×d matrix.
 * :class:`HadamardSignOperator` — a stack of Hadamard-times-sign blocks
   ``[H S_1; ...; H S_k]`` whose products run in O(m log n), n the smallest
-  power of two >= ``input_dim``, via the fast Walsh-Hadamard transform.
-  Unnormalized (entries ±1, columns of norm sqrt(m)) it is the deterministic
-  partial-Hadamard construction with all-plus signs, or a random-sign stack
-  with random ones; ``normalized=True`` scales H by 1/sqrt(dim).
+  power of two >= ``input_dim``, via the fast Walsh-Hadamard transform.  H
+  is the ±1 Hadamard matrix, so the columns have norm sqrt(m) and
+  (1/m) LᵀL = I, the scale of a Gaussian side.  With all-plus signs it is
+  the deterministic partial-Hadamard construction, with random ones a
+  random-sign stack.
 
 Each side also forms the second moment ``selected_gram(indices)`` of a row
 subset, which spectral initialization needs: the dense side from the
-selected rows, the unnormalized Hadamard side from per-block row counts
-without building any row.
+selected rows, the Hadamard side from per-block row counts without building
+any row.
 
 A :class:`MeasurementOperator` pairs one left and one right side sharing the
 same number of rows.  All operators are immutable and their products are
@@ -26,10 +27,9 @@ transpose products for cost accounting.
 from __future__ import annotations
 
 import contextlib
-import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
@@ -76,16 +76,15 @@ def _tick_matvec() -> None:
 
 # --- fast Walsh-Hadamard transform -----------------------------------------
 
-def fwht(v: np.ndarray, normalized: bool = False) -> np.ndarray:
-    """Multiply by the symmetric Hadamard matrix along the last axis.
+def fwht(v: np.ndarray) -> np.ndarray:
+    """Multiply by the ±1 (Sylvester-ordered) Hadamard matrix H along the last axis.
 
-    Constant-geometry (Pease) butterfly, O(d log d) per vector: stage s adds
-    and subtracts adjacent pairs, which hold the entries whose indices differ
-    in bit s, into the halves of the other buffer.  Every output is the same
-    sum over the same tree as in the in-place radix-2 butterfly, to the last
-    bit.  With ``normalized=True`` the result is scaled by 1/sqrt(d), which
-    makes the transform an involution and an isometry; the unnormalized
-    variant is the plain ±1 (Sylvester-ordered) Hadamard product.
+    H is symmetric and H H = d I, so applying the transform twice scales by
+    d.  Constant-geometry (Pease) butterfly, O(d log d) per vector: stage s
+    adds and subtracts adjacent pairs, which hold the entries whose indices
+    differ in bit s, into the halves of the other buffer.  Every output is
+    the same sum over the same tree as in the in-place radix-2 butterfly, to
+    the last bit.
 
     Accepts any array whose last axis has power-of-two length; leading axes
     are treated as a batch of R rows.  The stages run on the whole batch as
@@ -94,15 +93,6 @@ def fwht(v: np.ndarray, normalized: bool = False) -> np.ndarray:
     j of row r at flat position j·R + r, which one transposing copy puts
     back.  Returns a new C-ordered array.
     """
-    a = _butterfly(v)
-    if normalized:
-        a *= 1.0 / math.sqrt(a.shape[-1])
-    return a
-
-
-def _butterfly(v: np.ndarray) -> np.ndarray:
-    """``fwht`` without the scaling.  Operator products call ``fwht`` by its
-    module-global name, where a tracer counts them; other transforms call this."""
     a = np.array(v, dtype=np.float64, order="C")  # always copies, also promotes ints
     d = a.shape[-1]
     if d < 1 or (d & (d - 1)) != 0:
@@ -118,6 +108,11 @@ def _butterfly(v: np.ndarray) -> np.ndarray:
         np.subtract(even, odd, diffs)
     out = (y if stages & 1 else x).reshape(d, -1)  # entry j of row r is out[j, r]
     return np.ascontiguousarray(out.T).reshape(a.shape)
+
+
+# Operator products call ``fwht`` by its module-global name, where a tracer
+# counts them; ``selected_gram``, which is not a product, calls this alias.
+_butterfly = fwht
 
 
 def _as_vector(v: np.ndarray, length: int, what: str) -> np.ndarray:
@@ -179,18 +174,18 @@ class HadamardSignOperator:
     """Stacked Hadamard-sign blocks ``[H S_1; ...; H S_k]``, first ``input_dim`` columns.
 
     ``sign_diagonals`` holds the k diagonal ±1 blocks as a (k, dim) array;
-    ``dim`` must be a power of two and the operator has m = k·dim rows.  With
-    ``normalized=False`` (the partial-Hadamard convention) the entries are ±1
-    and the stacked columns are orthogonal with norm sqrt(m); with
-    ``normalized=True`` H carries a 1/sqrt(dim) factor.  A single all-plus
-    block is exactly the deterministic partial Hadamard matrix.  Products
-    run FWHTs of length n (the smallest power of two >= ``input_dim``) and
-    skip the top stages, which on zero-padded inputs would only add zeros.
+    ``dim`` must be a power of two and the operator has m = k·dim rows.  The
+    entries are ±1 and the stacked columns are orthogonal with norm sqrt(m).
+    A single all-plus block is exactly the deterministic partial Hadamard
+    matrix.  Products run FWHTs of length n (the smallest power of two
+    >= ``input_dim``) and skip the top stages, which on zero-padded inputs
+    would only add zeros.
     """
 
     sign_diagonals: np.ndarray
     input_dim: int
-    normalized: bool = False
+    # not a field: H is never scaled; kept only for bench/checks.py::dense_side
+    normalized: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         signs = np.ascontiguousarray(self.sign_diagonals, dtype=np.float64)
@@ -228,8 +223,6 @@ class HadamardSignOperator:
         if n > self.input_dim:
             v = np.concatenate((v, np.zeros(n - self.input_dim)))
         blocks = fwht(self.sign_diagonals[:, :n] * v)
-        if self.normalized:
-            blocks *= 1.0 / math.sqrt(self.dim)
         out = np.empty((self.block_count, self.dim // n, n))
         out[...] = blocks[:, None, :]
         return out.reshape(-1)
@@ -244,8 +237,6 @@ class HadamardSignOperator:
         parts = fwht(u.reshape(-1, n))
         for _ in range((self.dim // n).bit_length() - 1):
             parts = parts[0::2] + parts[1::2]
-        if self.normalized:
-            parts *= 1.0 / math.sqrt(self.dim)
         return (self.sign_diagonals[:, :n] * parts).sum(axis=0)[: self.input_dim]
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
@@ -256,25 +247,19 @@ class HadamardSignOperator:
         for shift in (1, 2, 4, 8, 16, 32):  # fold the parity of all 64 bits into bit 0
             bits ^= bits >> shift
         h_rows = 1.0 - 2.0 * (bits & 1)
-        if self.normalized:
-            h_rows *= 1.0 / math.sqrt(self.dim)
         return h_rows * self.sign_diagonals[block, : self.input_dim]
 
     def selected_gram(self, indices: np.ndarray) -> np.ndarray:
         """Sum of l_i l_iᵀ over the requested rows (repeats count again).
 
-        Unnormalized, the rows are never built.  H[j, a] H[j, c] = H[j, a ⊕ c],
-        and for a, c < n only j mod n matters, so with cnt_b the count of the
-        indices in block b per residue j mod n and ĉ_b = H_n cnt_b,
+        The rows are never built.  H[j, a] H[j, c] = H[j, a ⊕ c], and for
+        a, c < n only j mod n matters, so with cnt_b the count of the indices
+        in block b per residue j mod n and ĉ_b = H_n cnt_b,
         G[a, c] = Σ_b s_b[a] s_b[c] ĉ_b[a ⊕ c].  Every term is an integer,
         so the sum is exact and equals ``rows.T @ rows`` to the bit, zeros
         as +0.0.  Beyond the k·n counts, memory is O(input_dim²) whatever
-        the block count k.  Normalized entries are not integers, so that
-        side keeps the row product.
+        the block count k.
         """
-        if self.normalized:
-            rows = self.rows(indices)
-            return rows.T @ rows
         idx = np.asarray(indices, dtype=np.intp)
         d = self.input_dim
         n = 1 << (d - 1).bit_length()

@@ -228,7 +228,7 @@ def partial_hadamard_left(m: int, d1: int) -> HadamardSignOperator:
             f"too small for d1={d1}; choose m with a power-of-two factor >= d1"
         )
     signs = np.ones((m // block, block))
-    return HadamardSignOperator(sign_diagonals=signs, input_dim=d1, normalized=False)
+    return HadamardSignOperator(sign_diagonals=signs, input_dim=d1)
 
 
 def generate_instance(
@@ -371,7 +371,6 @@ def _pack_side(prefix: str, side: Union[DenseOperator, HadamardSignOperator], ou
         out[f"{prefix}_kind"] = np.int64(_LEFT_KINDS["hadamard"])
         out[f"{prefix}_signs"] = side.sign_diagonals
         out[f"{prefix}_input_dim"] = np.int64(side.input_dim)
-        out[f"{prefix}_normalized"] = np.int64(int(side.normalized))
 
 
 def _unpack_side(prefix: str, data) -> Union[DenseOperator, HadamardSignOperator]:
@@ -379,10 +378,11 @@ def _unpack_side(prefix: str, data) -> Union[DenseOperator, HadamardSignOperator
     if kind == _LEFT_KINDS["dense"]:
         return DenseOperator(entries=data[f"{prefix}_entries"])
     if kind == _LEFT_KINDS["hadamard"]:
+        # older archives record a scaling flag; only the ±1 side exists now
+        if f"{prefix}_normalized" in data and int(data[f"{prefix}_normalized"]):
+            raise ValueError(f"{prefix} Hadamard side is scaled by 1/sqrt(dim), no longer supported")
         return HadamardSignOperator(
-            sign_diagonals=data[f"{prefix}_signs"],
-            input_dim=int(data[f"{prefix}_input_dim"]),
-            normalized=bool(int(data[f"{prefix}_normalized"])),
+            sign_diagonals=data[f"{prefix}_signs"], input_dim=int(data[f"{prefix}_input_dim"])
         )
     raise ValueError(f"unknown operator kind tag {kind}")
 

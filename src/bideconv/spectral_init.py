@@ -58,7 +58,7 @@ def build_direction_matrices(inst: ProblemInstance, selected: np.ndarray) -> Dir
     """(1/m) sum of l_i l_i^T and r_i r_i^T over the selected rows.
 
     Each side forms its sum with ``selected_gram``: a dense side as the
-    product of the selected rows, an unnormalized Hadamard-sign side from
+    product of the selected rows, a ±1 Hadamard-sign side from
     Walsh-transformed counts of the selected indices, building no row and
     giving the same exact integers.
     """

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def dense_hadamard(d: int, normalized: bool = False) -> np.ndarray:
+def dense_hadamard(d: int) -> np.ndarray:
     """Sylvester-ordered Hadamard matrix via H[i, j] = (-1)^popcount(i & j)."""
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"d must be a power of two, got {d}")
@@ -25,13 +25,10 @@ def dense_hadamard(d: int, normalized: bool = False) -> np.ndarray:
     while val.any():
         pop += val & 1
         val >>= 1
-    h = np.where(pop % 2 == 0, 1.0, -1.0)
-    if normalized:
-        h = h / np.sqrt(d)
-    return h
+    return np.where(pop % 2 == 0, 1.0, -1.0)
 
 
-def fwht_butterfly(v: np.ndarray, normalized: bool = False) -> np.ndarray:
+def fwht_butterfly(v: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform by the in-place radix-2 butterfly.
 
     Stage h combines the entries whose indices differ in the bit of value h,
@@ -49,21 +46,19 @@ def fwht_butterfly(v: np.ndarray, normalized: bool = False) -> np.ndarray:
         top += bot
         bot[...] = diff
         h *= 2
-    if normalized:
-        a *= 1.0 / np.sqrt(d)
     return a
 
 
-def hadamard_forward_full(signs: np.ndarray, input_dim: int, normalized: bool, v: np.ndarray) -> np.ndarray:
+def hadamard_forward_full(signs: np.ndarray, input_dim: int, v: np.ndarray) -> np.ndarray:
     """[H S_1; ...; H S_k] v: v zero-padded to the full block length, one full-length FWHT."""
     padded = np.zeros(signs.shape[1])
     padded[:input_dim] = v
-    return fwht_butterfly(signs * padded, normalized).ravel()
+    return fwht_butterfly(signs * padded).ravel()
 
 
-def hadamard_transpose_full(signs: np.ndarray, input_dim: int, normalized: bool, u: np.ndarray) -> np.ndarray:
+def hadamard_transpose_full(signs: np.ndarray, input_dim: int, u: np.ndarray) -> np.ndarray:
     """[H S_1; ...; H S_k]^T u: a full-length FWHT of each block, then its first input_dim entries."""
-    blocks = fwht_butterfly(u.reshape(signs.shape), normalized)
+    blocks = fwht_butterfly(u.reshape(signs.shape))
     return (signs * blocks).sum(axis=0)[:input_dim]
 
 

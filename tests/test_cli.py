@@ -131,12 +131,25 @@ class TestExitCodes:
             ["rip-probe", *TINY, "--noise", "n1,sigma=1,10"],
             ["sweep-q", *TINY, "--pfail", "0.1,0.3"],
             ["sweep-q", *TINY, "--noise", "n1,sigma=1,10"],
+            # only sweep-q fans out over q
+            ["converge", *TINY, "--q", "0.5,0.95"],
+            ["phase", *TINY, "--q", "0.5,0.95"],
+            ["init", *TINY, "--q", "0.5,0.95"],
+            ["rip-probe", *TINY, "--q", "0.5,0.95"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):
         code, _, err = run(capsys, argv)
         assert code == 2
         assert err != ""
+
+    def test_q_list_is_named_where_only_one_q_runs(self, capsys):
+        # converge used to run the first q of the list and exit 0
+        argv = ["converge", "--d1", "8", "--d2", "8", "--c", "4", "--pfail", "0.1", "--trials", "1",
+                "--solver", "geometric", "--q", "0.5,0.95", "--iters", "50", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "converge takes one value of q" in err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["render"]) == 2

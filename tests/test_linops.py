@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,23 +30,15 @@ def wide_range(rng: np.random.Generator, shape, nonfinite: bool = False) -> np.n
     return x
 
 
-def random_hadamard_op(rng: np.random.Generator, k: int, d: int, input_dim: int, normalized: bool = False) -> HadamardSignOperator:
+def random_hadamard_op(rng: np.random.Generator, k: int, d: int, input_dim: int) -> HadamardSignOperator:
     signs = rng.choice([-1.0, 1.0], size=(k, d))
-    return HadamardSignOperator(sign_diagonals=signs, input_dim=input_dim, normalized=normalized)
+    return HadamardSignOperator(sign_diagonals=signs, input_dim=input_dim)
 
 
 class TestFwht:
-    def test_two_point_normalized(self):
-        out = fwht(np.array([1.0, 0.0]), normalized=True)
-        np.testing.assert_allclose(out, [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], atol=1e-15)
-
     def test_four_point_unnormalized(self):
         out = fwht(np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_allclose(out, [10.0, -2.0, -4.0, 0.0], atol=1e-13)
-
-    def test_four_point_normalized(self):
-        out = fwht(np.array([1.0, 2.0, 3.0, 4.0]), normalized=True)
-        np.testing.assert_allclose(out, [5.0, -1.0, -2.0, 0.0], atol=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 64, 256])
     def test_matches_dense_matrix(self, d):
@@ -66,19 +56,18 @@ class TestFwht:
                 np.testing.assert_allclose(out[i, j], fwht(batch[i, j]), atol=1e-12)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (1,)], ids=["vector", "batch", "batch2d", "single-row"])
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_bit_identical_to_butterfly(self, lead, normalized):
+    def test_bit_identical_to_butterfly(self, lead):
         # the butterfly oracle sums over the transform's addition tree, so every
         # output must match it to the last bit, at every length up to 1024 and
         # for inputs in any memory layout
-        rng = np.random.default_rng(len(lead) + 10 * normalized)
+        rng = np.random.default_rng(len(lead))
         for log_d in range(11):
             for nonfinite in (False, True):
                 x = wide_range(rng, lead + (2**log_d,), nonfinite)
                 x_strided = wide_range(rng, (2**log_d,) + lead[::-1], nonfinite).T  # not C-ordered
                 with np.errstate(invalid="ignore"):
-                    assert_same_bits(fwht(x, normalized), fwht_butterfly(x, normalized))
-                    assert_same_bits(fwht(x_strided, normalized), fwht_butterfly(x_strided, normalized))
+                    assert_same_bits(fwht(x), fwht_butterfly(x))
+                    assert_same_bits(fwht(x_strided), fwht_butterfly(x_strided))
 
     def test_input_not_mutated(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
@@ -99,17 +88,6 @@ class TestFwht:
         d = 2**log_d
         v = np.random.default_rng(seed).standard_normal(d)
         np.testing.assert_allclose(fwht(fwht(v)) / d, v, atol=1e-10)
-
-    @given(
-        st.integers(min_value=1, max_value=5),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_normalized_transform_is_isometry(self, log_d, seed):
-        d = 2**log_d
-        v = np.random.default_rng(seed).standard_normal(d)
-        out = fwht(v, normalized=True)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), abs=1e-10)
 
 
 class TestDenseOperator:
@@ -151,13 +129,6 @@ class TestDenseOperator:
 
 
 class TestHadamardSignOperator:
-    def test_single_block_all_plus_normalized(self):
-        op = HadamardSignOperator(
-            sign_diagonals=np.ones((1, 4)), input_dim=4, normalized=True
-        )
-        out = op.apply_forward(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(out, [5.0, -1.0, -2.0, 0.0], atol=1e-13)
-
     @pytest.mark.parametrize("k,d,input_dim", [(1, 8, 8), (1, 8, 5), (3, 16, 16), (4, 8, 6)])
     def test_matches_dense(self, k, d, input_dim):
         rng = np.random.default_rng(k * 100 + d)
@@ -183,43 +154,33 @@ class TestHadamardSignOperator:
             np.linalg.norm(dense, axis=0), np.full(6, np.sqrt(op.m)), atol=1e-10
         )
 
-    def test_normalized_entries_are_unit_over_sqrt_d(self):
-        rng = np.random.default_rng(6)
-        op = random_hadamard_op(rng, 2, 16, 16, normalized=True)
-        dense = op.to_dense()
-        np.testing.assert_allclose(np.abs(dense), np.full_like(dense, 1.0 / 4.0), atol=1e-12)
-
     def test_rows_match_dense(self):
         # against an oracle independent of the operator's own formula: SciPy's
         # Sylvester matrix times each sign block, at random unsorted indices;
         # the last case is the benchmark's partial-Hadamard shape
-        cases = [(1, 8, 8, False), (3, 8, 5, True), (2, 16, 16, True), (4, 32, 7, False), (1, 1024, 64, False)]
-        for k, d, input_dim, normalized in cases:
+        for k, d, input_dim in [(1, 8, 8), (3, 8, 5), (2, 16, 16), (4, 32, 7), (1, 1024, 64)]:
             rng = np.random.default_rng(k * 1000 + d)
-            op = random_hadamard_op(rng, k, d, input_dim, normalized)
+            op = random_hadamard_op(rng, k, d, input_dim)
             h = scipy.linalg.hadamard(d).astype(np.float64)
-            if normalized:
-                h *= 1.0 / math.sqrt(d)
             dense = np.vstack([h * signs for signs in op.sign_diagonals])[:, :input_dim]
             idx = rng.permutation(op.m)[: max(3, op.m // 3)]
             np.testing.assert_array_equal(op.rows(idx), dense[idx])
             np.testing.assert_array_equal(op.to_dense(), dense)
 
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_selected_gram_is_the_rows_product(self, normalized):
+    def test_selected_gram_is_the_rows_product(self):
         # to the bit, zeros as +0.0, for every input_dim of dims 1-64 and two
         # 1024-row blocks (the benchmark's partial-Hadamard shape first), at
         # sorted, unsorted and repeated indices
         rng = np.random.default_rng(17)
         ops = [
-            random_hadamard_op(rng, k, d, input_dim, normalized)
+            random_hadamard_op(rng, k, d, input_dim)
             for k in range(1, 5)
             for d in (1, 2, 4, 8, 16, 32, 64)
             for input_dim in range(1, d + 1)
         ]
         ops += [
-            HadamardSignOperator(np.ones((1, 1024)), 64, normalized),
-            random_hadamard_op(rng, 2, 1024, 1000, normalized),
+            HadamardSignOperator(np.ones((1, 1024)), 64),
+            random_hadamard_op(rng, 2, 1024, 1000),
         ]
         for op in ops:
             size = int(rng.integers(1, op.m + 1))
@@ -258,27 +219,26 @@ class TestHadamardSignOperator:
         rhs = float(v @ op.apply_transpose(u))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
-    @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_products_bit_identical_to_full_length(self, k, normalized):
+    def test_products_bit_identical_to_full_length(self, k):
         # pruned products against zero-padded full-length FWHTs, for input
         # dims that fill, half-fill and barely touch a power-of-two support
-        rng = np.random.default_rng(k + 10 * normalized)
+        rng = np.random.default_rng(k)
         for log_d in range(11):
             dim = 2**log_d
             for input_dim in sorted({1, 3, dim // 16, dim // 2 - 1, dim // 2, dim} & set(range(1, dim + 1))):
-                op = random_hadamard_op(rng, k, dim, input_dim, normalized)
+                op = random_hadamard_op(rng, k, dim, input_dim)
                 for nonfinite in (False, True):
                     v = wide_range(rng, input_dim, nonfinite)
                     u = wide_range(rng, k * dim, nonfinite)
                     with np.errstate(invalid="ignore"):
                         assert_same_bits(
                             op.apply_forward(v),
-                            hadamard_forward_full(op.sign_diagonals, input_dim, normalized, v),
+                            hadamard_forward_full(op.sign_diagonals, input_dim, v),
                         )
                         assert_same_bits(
                             op.apply_transpose(u),
-                            hadamard_transpose_full(op.sign_diagonals, input_dim, normalized, u),
+                            hadamard_transpose_full(op.sign_diagonals, input_dim, u),
                         )
 
     def test_rejects_bad_signs(self):

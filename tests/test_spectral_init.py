@@ -158,12 +158,11 @@ class TestDirectionMatrices:
         # scaling by 1/m (not by the selected count) means fewer rows -> smaller trace
         assert np.trace(half.left_moment) < np.trace(full.left_moment)
 
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_rows_are_built_only_where_the_moment_needs_them(self, normalized, monkeypatch):
-        # an unnormalized Hadamard side forms its moment from index counts;
-        # a normalized one, and a dense one, from the selected rows
+    def test_rows_are_built_only_where_the_moment_needs_them(self, monkeypatch):
+        # a Hadamard side forms its moment from index counts, a dense one from
+        # the selected rows
         rng = np.random.default_rng(8)
-        left = HadamardSignOperator(rng.choice([-1.0, 1.0], size=(3, 16)), 12, normalized)
+        left = HadamardSignOperator(rng.choice([-1.0, 1.0], size=(3, 16)), 12)
         right = DenseOperator(rng.standard_normal((48, 5)))
         inst = ProblemInstance(
             op=MeasurementOperator(left, right),
@@ -179,8 +178,7 @@ class TestDirectionMatrices:
                 return rows(op, indices)
             monkeypatch.setattr(side, "rows", counted)
         spectral_initialize(inst)
-        expected = [HadamardSignOperator, DenseOperator] if normalized else [DenseOperator]
-        assert calls == expected
+        assert calls == [DenseOperator]
 
 
 class TestSpectralInitialize:
