@@ -2,10 +2,12 @@
 
 Each setting is one row of ``_SETTINGS``: its key is both the flag
 (``--key``) and the config-file key, and its parse turns the text into
-``ExperimentSpec`` / ``SolverConfig`` fields.  Settings resolve in three
-layers: the dataclass defaults (plus the few CLI defaults that differ from
-them), then a flat ``key=value`` config file (``--config``), then explicit
-command-line flags, later layers winning.  Exit codes: 0 success, 2
+``ExperimentSpec`` / ``SolverConfig`` fields.  Each command takes only the
+settings it reads (its ``_COMMANDS`` row), so any other flag or config-file
+key is a configuration error, never silently ignored.  Settings resolve in
+three layers: the dataclass defaults (plus the few CLI defaults that differ
+from them), then a flat ``key=value`` config file (``--config``), then
+explicit command-line flags, later layers winning.  Exit codes: 0 success, 2
 configuration error, 1 runtime failure.
 """
 
@@ -20,6 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .experiments import (
+    CELL_GRIDS,
     SOLVER_FUNCTIONS,
     ExperimentSpec,
     ResultTable,
@@ -116,20 +119,12 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
 _TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
 _ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
-# the grids a command reads one value of, by ExperimentSpec field and setting:
-# only sweep-q fans out over q (ExperimentSpec itself rejects a sweep-q grid
-# of several p_fails or sigmas)
+# the setting that gives each ExperimentSpec grid; a command takes one value of
+# every grid it does not fan out over
 _GRID_NAMES = {"m_ratios": "c", "p_fails": "pfail", "sigmas": "noise sigma", "qs": "q"}
-_ONE_VALUE_GRIDS = {
-    "solve": ("m_ratios", "p_fails", "sigmas", "qs"),
-    "rip-probe": ("m_ratios", "p_fails", "sigmas", "qs"),
-    "init": ("qs",),
-    "converge": ("qs",),
-    "phase": ("qs",),
-}
 
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str, command: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -141,8 +136,8 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _SETTINGS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _READS[command]:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
                 values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -151,30 +146,30 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     """The command's spec and CSV path: flags over file values over defaults."""
-    texts = read_config_file(args.config) if args.config else {}
+    texts = read_config_file(args.config, args.command) if args.config else {}
     flags = vars(args)
-    texts.update((key, flags[key]) for key in _SETTINGS if flags[key] is not None)
+    texts.update((key, flags[key]) for key in _READS[args.command] if flags[key] is not None)
     values: dict[str, Any] = {"stall_window": None}
     if args.command in _TRIAL_DEFAULTS:
         values["trials"] = _TRIAL_DEFAULTS[args.command]
     for key, text in texts.items():
         values.update(_SETTINGS[key][1](text))
     out = values.pop("out", None)
+    if args.command == "sweep-q" and values.get("solver", "geometric") != "geometric":
+        raise ConfigError(f"sweep-q runs the geometric solver, got solver {values['solver']!r}")
+    _, kind, handler, _ = _COMMANDS[args.command]
+    fanned_out = CELL_GRIDS[kind] if handler is _cmd_experiment else ()
+    for grid, name in _GRID_NAMES.items():
+        if grid not in fanned_out and len(values.get(grid, ())) > 1:
+            raise ConfigError(f"{args.command} takes one value of {name}")
     solver = values.get("solver", ExperimentSpec.solver)
     if "max_iters" not in values and solver in _ITER_DEFAULTS:
         values["max_iters"] = _ITER_DEFAULTS[solver]
     solver_values = {k: values.pop(k) for k in _SOLVER_FIELDS & values.keys()}
     try:
-        spec = ExperimentSpec(
-            kind=_COMMANDS[args.command][1],
-            solver_config=SolverConfig(**solver_values),
-            **values,
-        )
+        spec = ExperimentSpec(kind=kind, solver_config=SolverConfig(**solver_values), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for grid in _ONE_VALUE_GRIDS.get(args.command, ()):
-        if len(getattr(spec, grid)) > 1:
-            raise ConfigError(f"{args.command} takes one value of {_GRID_NAMES[grid]}")
     return spec, out
 
 
@@ -272,31 +267,41 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
     return 0
 
 
-# command -> (help, ExperimentSpec.kind, handler); solve and rip-probe read
-# the spec's one cell, so their kind is nominal
-_COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int]]] = {
-    "solve": ("solve one instance, print the trace", "convergence", _cmd_solve),
-    "init": ("initialization accuracy table", "init", _cmd_experiment),
-    "converge": ("per-iteration error traces", "convergence", _cmd_experiment),
-    "phase": ("success-rate grid over (p_fail, c)", "phase", _cmd_experiment),
-    "sweep-q": ("decay-rate sweep, mean final error", "qsweep", _cmd_experiment),
-    "rip-probe": ("landscape constants probe", "init", _cmd_rip_probe),
+# command -> (help, ExperimentSpec.kind, handler, the settings it reads besides
+# the _SHARED ones); solve and rip-probe read the spec's one cell, so their
+# kind is nominal
+_COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int], str]] = {
+    "solve": ("solve one instance, print the trace", "convergence", _cmd_solve,
+              "solver q lambda beta init iters threshold"),
+    "init": ("initialization accuracy table", "init", _cmd_experiment, "trials"),
+    "converge": ("per-iteration error traces", "convergence", _cmd_experiment,
+                 "trials solver q lambda beta init iters"),
+    "phase": ("success-rate grid over (p_fail, c)", "phase", _cmd_experiment,
+              "trials solver q lambda beta init iters threshold"),
+    # the sweep runs the geometric solver, which reads no --beta
+    "sweep-q": ("decay-rate sweep, mean final error", "qsweep", _cmd_experiment,
+                "trials solver q lambda init iters"),
+    "rip-probe": ("landscape constants probe", "init", _cmd_rip_probe, "trials"),
+}
+# the instance settings and the CSV path, which every command reads
+_SHARED = "d1 d2 c pfail noise left seed out"
+_READS = {
+    command: [key for key in _SETTINGS if key in f"{_SHARED} {row[3]}".split()]
+    for command, row in _COMMANDS.items()
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key=value settings file")
-    for key, (help_text, _) in _SETTINGS.items():
-        shared.add_argument(f"--{key}", help=help_text)
-
     parser = argparse.ArgumentParser(
         prog="bideconv",
         description="Robust rank-one bilinear recovery: solvers and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, _) in _COMMANDS.items():
-        sub.add_parser(command, parents=[shared], help=help_text)
+    for command, (help_text, _, _, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        command_parser.add_argument("--config", help="flat key=value settings file")
+        for key in _READS[command]:
+            command_parser.add_argument(f"--{key}", help=_SETTINGS[key][0])
     return parser
 
 

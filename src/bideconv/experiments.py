@@ -1,17 +1,20 @@
 """Seeded Monte-Carlo experiment drivers with CSV output.
 
-Every trial's randomness derives from the base seed plus the cell's parameter
-VALUES (not grid positions), so a cell's result is a pure function of its
-configuration: reordering, subsetting, or parallelizing the grid cannot change
-any number in the output table.
+``trial_instances`` is the one place trials are seeded: it enumerates a
+spec's cells and trials and draws each trial's instance from the base seed
+plus the cell's parameter VALUES (not grid positions), so a cell's result is
+a pure function of its configuration: reordering, subsetting, or
+parallelizing the grid cannot change any number in the output table.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -38,6 +41,16 @@ SOLVER_FUNCTIONS = {
     "polyak": polyak_subgradient,
     "geometric": geometric_subgradient,
     "proxlinear": prox_linear,
+}
+
+# ExperimentSpec grid field -> its key in a cell's config
+GRID_KEYS = {"m_ratios": "c", "p_fails": "p_fail", "sigmas": "sigma", "qs": "q"}
+# the grids each kind fans out over; it runs at one value of every other grid
+CELL_GRIDS: dict[str, tuple[str, ...]] = {
+    "convergence": ("m_ratios", "p_fails", "sigmas"),
+    "phase": ("m_ratios", "p_fails", "sigmas"),
+    "qsweep": ("m_ratios", "qs"),
+    "init": ("m_ratios", "p_fails", "sigmas"),
 }
 
 
@@ -87,16 +100,16 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("dimensions must be positive")
-        for name, grid in (
-            ("m_ratios", self.m_ratios),
-            ("p_fails", self.p_fails),
-            ("sigmas", self.sigmas),
-            ("qs", self.qs),
-        ):
+        if self.kind not in CELL_GRIDS:
+            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in GRID_KEYS:
+            grid = getattr(self, name)
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if self.kind == "qsweep" and name in ("p_fails", "sigmas") and len(grid) > 1:
-                raise ValueError(f"a qsweep runs at one value of {name}, got {len(grid)}")
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{name} repeats a value")
+            if name not in CELL_GRIDS[self.kind] and len(grid) > 1:
+                raise ValueError(f"a {self.kind} runs at one value of {name}, got {len(grid)}")
         if self.solver not in SOLVER_FUNCTIONS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.init not in ("spectral", "random-heuristic"):
@@ -193,14 +206,10 @@ def initial_point(inst: ProblemInstance, init: InitName) -> SignalPair:
     return pulled
 
 
-def solve_instance(
-    inst: ProblemInstance, spec: ExperimentSpec, cfg: SolverConfig | None = None
-) -> tuple[SignalPair, Trace]:
+def solve_instance(inst: ProblemInstance, spec: ExperimentSpec) -> tuple[SignalPair, Trace]:
     """Initialize and solve one instance; a diverged run raises RuntimeError."""
     start = initial_point(inst, spec.init)
-    point, trace = SOLVER_FUNCTIONS[spec.solver](
-        inst, start, cfg if cfg is not None else spec.solver_config
-    )
+    point, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, spec.solver_config)
     if trace.diverged:
         raise RuntimeError(
             f"solver diverged on instance seed {inst.seed}: "
@@ -209,71 +218,64 @@ def solve_instance(
     return point, trace
 
 
-def _cells(spec: ExperimentSpec) -> Iterable[tuple[int, float, float]]:
-    for c in spec.m_ratios:
-        for p_fail in spec.p_fails:
-            for sigma in spec.sigmas:
-                yield c, p_fail, sigma
+def trial_instances(spec: ExperimentSpec) -> Iterator[tuple[Config, int, ProblemInstance]]:
+    """Every ``(cell, trial, instance)`` of the spec, cell by cell in grid order.
+
+    A cell is the config of the grids its kind fans out over, e.g.
+    ``(("c", 8), ("p_fail", 0.25), ("sigma", 1.0))``; the other grids hold one
+    value each.  Trial ``t`` of a cell draws its instance from
+    ``derive_seed(base_seed, kind, *cell values, t)``.
+    """
+    grids = CELL_GRIDS[spec.kind]
+    point = {key: getattr(spec, name)[0] for name, key in GRID_KEYS.items()}
+    for values in itertools.product(*(getattr(spec, name) for name in grids)):
+        cell: Config = tuple(zip((GRID_KEYS[name] for name in grids), values))
+        point.update(cell)
+        for trial in range(spec.trials):
+            seed = derive_seed(spec.base_seed, spec.kind, *values, trial)
+            inst = make_instance(spec, point["c"], point["p_fail"], point["sigma"], seed)
+            yield cell, trial, inst
 
 
 def run_convergence(spec: ExperimentSpec) -> ResultTable:
-    """Per-iteration error traces for every (c, p_fail, trial)."""
+    """Per-iteration error traces for every (c, p_fail, sigma, trial)."""
     table = ResultTable()
-    for c, p_fail, sigma in _cells(spec):
-        for trial in range(spec.trials):
-            seed = derive_seed(spec.base_seed, "convergence", c, p_fail, sigma, trial)
-            inst = make_instance(spec, c, p_fail, sigma, seed)
-            _, trace = solve_instance(inst, spec)
-            for record in trace.records:
-                config: Config = (
-                    ("c", c),
-                    ("p_fail", p_fail),
-                    ("sigma", sigma),
-                    ("trial", trial),
-                    ("iteration", record.iteration),
-                )
-                table.add(config, "relative_error", record.relative_error)
-                table.add(config, "objective", record.objective)
-                table.add(config, "matvecs", record.matvecs)
+    for cell, trial, inst in trial_instances(spec):
+        _, trace = solve_instance(inst, spec)
+        for record in trace.records:
+            config = cell + (("trial", trial), ("iteration", record.iteration))
+            table.add(config, "relative_error", record.relative_error)
+            table.add(config, "objective", record.objective)
+            table.add(config, "matvecs", record.matvecs)
     return table
 
 
 def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
-    """Success-rate grid over (c, p_fail): fraction of trials whose final
-    relative error is at or below the success threshold."""
+    """Success-rate grid over (c, p_fail, sigma): fraction of trials whose
+    final relative error is at or below the success threshold."""
+    finals = defaultdict(list)
+    for cell, _, inst in trial_instances(spec):
+        _, trace = solve_instance(inst, spec)
+        finals[cell].append(trace.final.relative_error)
     table = ResultTable()
-    for c, p_fail, sigma in _cells(spec):
-        successes = 0
-        finals = []
-        for trial in range(spec.trials):
-            seed = derive_seed(spec.base_seed, "phase", c, p_fail, sigma, trial)
-            inst = make_instance(spec, c, p_fail, sigma, seed)
-            _, trace = solve_instance(inst, spec)
-            finals.append(trace.final.relative_error)
-            if trace.final.relative_error <= spec.success_threshold:
-                successes += 1
-        config: Config = (("c", c), ("p_fail", p_fail), ("sigma", sigma))
-        table.add(config, "success_rate", successes / spec.trials)
-        table.add(config, "median_final_error", float(np.median(finals)))
+    for cell, errors in finals.items():
+        successes = sum(error <= spec.success_threshold for error in errors)
+        table.add(cell, "success_rate", successes / spec.trials)
+        table.add(cell, "median_final_error", float(np.median(errors)))
     return table
 
 
 def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
-    """Mean final error of the decaying-step method per (q, c) cell, at the
+    """Mean final error of the decaying-step method per (c, q) cell, at the
     spec's p_fail and sigma (a qsweep spec holds one of each)."""
+    finals = defaultdict(list)
+    for cell, _, inst in trial_instances(spec):
+        cfg = replace(spec.solver_config, decay_q=dict(cell)["q"])
+        _, trace = solve_instance(inst, replace(spec, solver="geometric", solver_config=cfg))
+        finals[cell].append(trace.final.relative_error)
     table = ResultTable()
-    p_fail, sigma = spec.p_fails[0], spec.sigmas[0]
-    geometric = replace(spec, solver="geometric")
-    for c in spec.m_ratios:
-        for q in spec.qs:
-            finals = []
-            for trial in range(spec.trials):
-                seed = derive_seed(spec.base_seed, "qsweep", c, q, trial)
-                inst = make_instance(spec, c, p_fail, sigma, seed)
-                cfg = replace(spec.solver_config, decay_q=q)
-                _, trace = solve_instance(inst, geometric, cfg)
-                finals.append(trace.final.relative_error)
-            table.add((("c", c), ("q", q)), "mean_final_error", float(np.mean(finals)))
+    for cell, errors in finals.items():
+        table.add(cell, "mean_final_error", float(np.mean(errors)))
     return table
 
 
@@ -285,24 +287,14 @@ def run_init_quality(spec: ExperimentSpec) -> ResultTable:
     judge robustness to growing corruption magnitude.
     """
     table = ResultTable()
-    for c, p_fail, sigma in _cells(spec):
-        errors = []
-        for trial in range(spec.trials):
-            seed = derive_seed(spec.base_seed, "init", c, p_fail, sigma, trial)
-            inst = make_instance(spec, c, p_fail, sigma, seed)
-            est = spectral_initialize(inst)
-            err = direction_error(est.w_dir, est.x_dir, inst.truth)
-            errors.append(err)
-            table.add(
-                (("c", c), ("p_fail", p_fail), ("sigma", sigma), ("trial", trial)),
-                "direction_error",
-                err,
-            )
-        table.add(
-            (("c", c), ("p_fail", p_fail), ("sigma", sigma)),
-            "median_direction_error",
-            float(np.median(errors)),
-        )
+    errors = defaultdict(list)
+    for cell, trial, inst in trial_instances(spec):
+        est = spectral_initialize(inst)
+        err = direction_error(est.w_dir, est.x_dir, inst.truth)
+        errors[cell].append(err)
+        table.add(cell + (("trial", trial),), "direction_error", err)
+    for cell, cell_errors in errors.items():
+        table.add(cell, "median_direction_error", float(np.median(cell_errors)))
     return table
 
 

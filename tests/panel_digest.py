@@ -1,11 +1,15 @@
-"""Print one SHA-256 per benchmark workload over seeded solver outputs.
+"""Print one SHA-256 per benchmark workload and per README command.
 
 For each workload in ``bench/workloads.py`` this builds the first six
 instances of its panel at ``--seed N``, runs ``spectral_initialize`` and the
 workload's solver on each, and hashes the start ``w0``, ``x0``, the final
-``w`` and ``x``, ``repr(trace.records)`` and ``trace.diverged``.  Two trees
-print the same lines exactly when all of these agree to the bit, so a change
-meant to leave results alone is checked by running, in each tree,
+``w`` and ``x``, ``repr(trace.records)`` and ``trace.diverged``.  Then it runs
+each ``bideconv`` command of the README's "Command line" block, read as
+``tests/test_readme.py`` reads it and run as written (so these lines do not
+depend on ``--seed``), with ``--out table.csv`` in a temporary directory, and
+hashes its exit code, its stdout and the CSV bytes.  Two trees print the same
+lines exactly when all of these agree to the bit, so a change meant to leave
+results alone is checked by running, in each tree,
 
     python3 tests/panel_digest.py --seed 1
 
@@ -18,9 +22,12 @@ collect it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in (
@@ -34,11 +41,13 @@ for _var in (
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
 from bideconv import model, solvers, spectral_init  # noqa: E402
+from bideconv.cli import main as cli_main  # noqa: E402
+from test_readme import readme_commands  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 INSTANCES = 6
@@ -59,12 +68,33 @@ def digest(name: str, seed: int) -> str:
     return h.hexdigest()
 
 
+def command_digest(argv: list[str]) -> str:
+    """SHA-256 over one command's exit code, stdout and ``--out`` CSV bytes."""
+    h = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main([*argv, "--out", "table.csv"])
+            h.update(f"exit {code}\n".encode())
+            h.update(stdout.getvalue().encode())
+            table = Path("table.csv")
+            h.update(table.read_bytes() if table.exists() else b"no table")
+        finally:
+            os.chdir(cwd)
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="benchmark run seed")
     args = parser.parse_args(argv)
     for name in WORKLOADS:
         print(f"{name}  seed {args.seed}  {digest(name, args.seed)}")
+    for command in readme_commands():
+        print(f"readme {command[0]}  {command_digest(command)}")
     return 0
 
 

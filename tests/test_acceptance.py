@@ -10,6 +10,8 @@ minutes of wall time in total; everything is seeded and deterministic.
 import math
 import sys
 import time
+from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,10 +20,9 @@ from verdicts import VERDICTS
 
 from bideconv.experiments import (
     ExperimentSpec,
-    derive_seed,
-    make_instance,
     run_init_quality,
     solve_instance,
+    trial_instances,
 )
 from bideconv.geometry import SolutionSet, _dist_squared_many, dist_to_solution_set
 from bideconv.model import (
@@ -191,20 +192,16 @@ def test_hadamard_left_fragility():
         ),
         left="hadamard",
     )
-    (p_fail,), (sigma,) = spec.p_fails, spec.sigmas
+    outcomes = defaultdict(list)  # cell -> (success, identifiable) per trial
+    for cell, _, inst in trial_instances(spec):
+        _, trace = solve_instance(inst, spec)
+        success = trace.final.relative_error <= spec.success_threshold
+        outcomes[cell].append((success, count_unidentifiable_groups(inst) == 0))
     counts, rates = [], []
-    for c in spec.m_ratios:
-        successes = identifiable = unidentified_successes = 0
-        for trial in range(spec.trials):
-            seed = derive_seed(spec.base_seed, "phase", c, p_fail, sigma, trial)
-            inst = make_instance(spec, c, p_fail, sigma, seed)
-            _, trace = solve_instance(inst, spec)
-            success = trace.final.relative_error <= spec.success_threshold
-            if count_unidentifiable_groups(inst) == 0:
-                identifiable += 1
-            else:
-                unidentified_successes += success
-            successes += success
+    for trials in outcomes.values():  # c = 1..8
+        successes = sum(success for success, _ in trials)
+        identifiable = sum(ok for _, ok in trials)
+        unidentified_successes = sum(success for success, ok in trials if not ok)
         counts.append(f"{successes}/{identifiable}")
         rates.append(unidentified_successes / max(spec.trials - identifiable, 1))
     worst = max(rates)
@@ -371,11 +368,8 @@ def test_init_robust_to_corruption_magnitude():
     )
     table = run_init_quality(spec)
     med = {s: table.values("median_direction_error", sigma=s)[0] for s in spec.sigmas}
-    (c,), (p_fail,) = spec.m_ratios, spec.p_fails
     keep_all = []
-    for trial in range(spec.trials):
-        seed = derive_seed(spec.base_seed, "init", c, p_fail, 1e4, trial)
-        inst = make_instance(spec, c, p_fail, 1e4, seed)
+    for _, _, inst in trial_instances(replace(spec, sigmas=(1e4,))):
         moments = build_direction_matrices(inst, np.arange(inst.m))
         keep_all.append(
             direction_error(

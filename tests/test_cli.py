@@ -151,6 +151,33 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "converge takes one value of q" in err
 
+    @pytest.mark.parametrize(
+        "argv, settings",
+        [
+            (["init", *TINY, "--init", "random-heuristic", "--solver", "proxlinear"],
+             ["--init", "--solver"]),
+            (["rip-probe", *TINY, "--solver", "proxlinear", "--iters", "3", "--q", "0.1",
+              "--init", "random-heuristic"], ["--solver", "--iters", "--q", "--init"]),
+            (["converge", *TINY, "--threshold", "0.5"], ["--threshold"]),
+            (["solve", *TINY, "--trials", "7"], ["--trials"]),
+            (["sweep-q", *TINY, "--solver", "proxlinear"], ["solver 'proxlinear'"]),
+        ],
+        ids=["init", "rip-probe", "converge", "solve", "sweep-q"],
+    )
+    def test_settings_the_command_never_reads_exit_2(self, capsys, argv, settings):
+        # the command reads none of these settings, so it could only ignore them
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        for setting in settings:
+            assert setting in err
+
+    def test_config_key_the_command_never_reads_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d1=5\nd2=5\nc=4\nseed=3\niters=40\ntrials=7\n", encoding="utf-8")
+        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "unknown key 'trials' for solve" in err
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["render"]) == 2
 

@@ -1,6 +1,7 @@
 """Experiment-driver tests: seeding determinism, table semantics, the CSV
 contract, and small end-to-end Monte-Carlo runs of each driver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bideconv.experiments import (
     emit_csv,
     initial_point,
     run_convergence,
+    run_experiment,
     run_init_quality,
     run_phase_transition,
     run_q_sweep,
@@ -73,6 +75,8 @@ class TestExperimentSpec:
             {"success_threshold": 0.0},
             {"d1": 0},
             {"left": "circulant"},
+            {"m_ratios": (8, 8)},
+            {"kind": "sweep"},
         ],
     )
     def test_validation(self, overrides):
@@ -209,11 +213,21 @@ class TestRunQSweep:
         assert fast < slow
         assert slow > 1e-5
 
-    @pytest.mark.parametrize("grid", ["p_fails", "sigmas"])
-    def test_spec_rejects_several_values_of_a_fixed_grid(self, grid):
-        # the sweep runs at one p_fail and one sigma; a second value would be dropped
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [
+            pytest.param("qsweep", "p_fails", id="p_fails"),
+            pytest.param("qsweep", "sigmas", id="sigmas"),
+            pytest.param("convergence", "qs", id="convergence-qs"),
+            pytest.param("phase", "qs", id="phase-qs"),
+            pytest.param("init", "qs", id="init-qs"),
+        ],
+    )
+    def test_spec_rejects_several_values_of_a_fixed_grid(self, kind, grid):
+        # a sweep runs at one p_fail and one sigma, every other kind at one q;
+        # a second value would be dropped
         with pytest.raises(ValueError, match=grid):
-            small_spec(kind="qsweep", solver="geometric", **{grid: (0.1, 0.3)})
+            small_spec(kind=kind, solver="geometric", **{grid: (0.1, 0.3)})
 
 
 class TestRunInitQuality:
@@ -273,3 +287,46 @@ class TestEmitCsv:
         missing = tmp_path / "no-such-dir" / "x.csv"
         with pytest.raises(OSError, match="no-such-dir"):
             emit_csv(table, missing)
+
+
+class TestTableBytes:
+    """The CSV bytes of a small spec of each kind, pinned by SHA-256: any change
+    to how the drivers enumerate cells, seed trials, draw instances or reduce
+    them to statistics shows here."""
+
+    GEOMETRIC = SolverConfig(max_iters=60, stall_window=None)
+
+    @pytest.mark.parametrize(
+        "overrides, sha256",
+        [
+            pytest.param(
+                dict(p_fails=(0.2,), sigmas=(1.0, 10.0), trials=2, solver="geometric",
+                     solver_config=GEOMETRIC),
+                "1bc879235b15101d413f2d67282a7949780057ca66fe881f4e8d35ec4db38f7c",
+                id="phase",
+            ),
+            pytest.param(
+                dict(kind="qsweep", m_ratios=(4, 8), p_fails=(0.1,), qs=(0.9, 0.95), trials=2,
+                     solver="geometric", solver_config=GEOMETRIC),
+                "24707f41bb9e4573eb3dfed0e852f70af282f042d5212d4e046b702ba32d50a3",
+                id="qsweep",
+            ),
+            pytest.param(
+                dict(kind="convergence", m_ratios=(4, 6), p_fails=(0.1,), trials=2,
+                     solver="proxlinear", init="random-heuristic",
+                     solver_config=SolverConfig(max_iters=3)),
+                "8275272052148ce237a891227665a443c3bdc4941b39fe0b40b2569fcd103dcc",
+                id="convergence",
+            ),
+            pytest.param(
+                dict(kind="init", d1=8, m_ratios=(4,), p_fails=(0.1, 0.2), trials=3,
+                     left="hadamard", noise_kind="n2"),
+                "8702cd025f4ce0b86b9303aa2818b98c349a293d959baac102be9347cabde410",
+                id="init",
+            ),
+        ],
+    )
+    def test_csv_bytes_are_pinned(self, tmp_path, overrides, sha256):
+        path = tmp_path / "table.csv"
+        emit_csv(run_experiment(small_spec(**overrides)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
