@@ -83,11 +83,6 @@ def _parse_noise(text: str) -> dict[str, Any]:
     return {"noise_kind": kind, "sigmas": sigmas}
 
 
-def _parse_qs(text: str) -> dict[str, Any]:
-    qs = _parse_float_list(text)
-    return {"qs": qs, "decay_q": qs[0]}
-
-
 # key -> (help, parse of its text into ExperimentSpec / SolverConfig fields;
 # "out" is the one key that is neither)
 _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
@@ -103,7 +98,7 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
     "solver": ("polyak | geometric | proxlinear", lambda t: {"solver": t}),
     "noise": ("n1,sigma=... (sigma accepts a list) or n2", _parse_noise),
     "left": ("gaussian | hadamard", lambda t: {"left": t}),
-    "q": ("geometric decay rate(s), comma list", _parse_qs),
+    "q": ("geometric decay rate(s), comma list", lambda t: {"qs": _parse_float_list(t)}),
     "lambda": ("initial step length", lambda t: {"lambda0": _parse_float(t)}),
     "beta": ("prox-linear quadratic weight", lambda t: {"prox_beta": _parse_float(t)}),
     "threshold": (
@@ -115,8 +110,9 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
     "iters": ("iteration budget", lambda t: {"max_iters": _parse_int(t)}),
 }
 
-# the CLI defaults that differ from the dataclasses'
-_TRIAL_DEFAULTS = {"sweep-q": 50, "rip-probe": 500}
+# the CLI defaults that differ from the dataclasses'; the iteration budget
+# is keyed on the solver that runs
+_COMMAND_DEFAULTS = {"sweep-q": {"trials": 50, "solver": "geometric"}, "rip-probe": {"trials": 500}}
 _ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 # the setting that gives each ExperimentSpec grid; a command takes one value of
@@ -149,14 +145,10 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     texts = read_config_file(args.config, args.command) if args.config else {}
     flags = vars(args)
     texts.update((key, flags[key]) for key in _READS[args.command] if flags[key] is not None)
-    values: dict[str, Any] = {"stall_window": None}
-    if args.command in _TRIAL_DEFAULTS:
-        values["trials"] = _TRIAL_DEFAULTS[args.command]
+    values: dict[str, Any] = {"stall_window": None, **_COMMAND_DEFAULTS.get(args.command, {})}
     for key, text in texts.items():
         values.update(_SETTINGS[key][1](text))
     out = values.pop("out", None)
-    if args.command == "sweep-q" and values.get("solver", "geometric") != "geometric":
-        raise ConfigError(f"sweep-q runs the geometric solver, got solver {values['solver']!r}")
     _, kind, handler, _ = _COMMANDS[args.command]
     fanned_out = CELL_GRIDS[kind] if handler is _cmd_experiment else ()
     for grid, name in _GRID_NAMES.items():
@@ -194,7 +186,7 @@ def _first_instance(spec: ExperimentSpec) -> ProblemInstance:
 def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
     inst = _first_instance(spec)
     start = initial_point(inst, spec.init)
-    cfg = replace(spec.solver_config, tol_rel_err=spec.success_threshold)
+    cfg = replace(spec.solver_config, decay_q=spec.qs[0], tol_rel_err=spec.success_threshold)
     final, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, cfg)
     print("iteration  objective      rel_error      step_size      matvecs")
     for r in trace.records:

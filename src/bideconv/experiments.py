@@ -77,7 +77,12 @@ def derive_seed(base_seed: int, *parts: int | float | str) -> int:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment's full configuration; every field participates in seeding
-    only through explicit ``derive_seed`` calls, never through global state."""
+    only through explicit ``derive_seed`` calls, never through global state.
+
+    ``qs`` is the one home of the geometric decay rate: every solver runs at
+    its cell's q, which is the spec's one ``qs`` value for a kind that does
+    not fan out over q, so ``solver_config.decay_q`` must keep its default.
+    """
 
     kind: Kind
     d1: int = 100
@@ -110,8 +115,18 @@ class ExperimentSpec:
                 raise ValueError(f"{name} repeats a value")
             if name not in CELL_GRIDS[self.kind] and len(grid) > 1:
                 raise ValueError(f"a {self.kind} runs at one value of {name}, got {len(grid)}")
+        if not all(0.0 < q < 1.0 for q in self.qs):
+            raise ValueError(f"qs values must lie in (0, 1), got {self.qs}")
+        if self.solver_config.decay_q != SolverConfig.decay_q:
+            raise ValueError(
+                f"set the decay rate in qs, not solver_config.decay_q={self.solver_config.decay_q}"
+            )
         if self.solver not in SOLVER_FUNCTIONS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.kind == "qsweep" and self.solver != "geometric":
+            raise ValueError(f"a qsweep runs the geometric solver, got solver {self.solver!r}")
+        if self.noise_kind not in ("n1", "n2"):
+            raise ValueError(f"noise kind must be n1 or n2, got {self.noise_kind!r}")
         if self.init not in ("spectral", "random-heuristic"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.left not in ("gaussian", "hadamard"):
@@ -206,10 +221,14 @@ def initial_point(inst: ProblemInstance, init: InitName) -> SignalPair:
     return pulled
 
 
-def solve_instance(inst: ProblemInstance, spec: ExperimentSpec) -> tuple[SignalPair, Trace]:
-    """Initialize and solve one instance; a diverged run raises RuntimeError."""
+def solve_instance(
+    inst: ProblemInstance, spec: ExperimentSpec, q: float
+) -> tuple[SignalPair, Trace]:
+    """Initialize and solve one instance at decay rate ``q``; a diverged run
+    raises RuntimeError."""
     start = initial_point(inst, spec.init)
-    point, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, spec.solver_config)
+    cfg = replace(spec.solver_config, decay_q=q)
+    point, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, cfg)
     if trace.diverged:
         raise RuntimeError(
             f"solver diverged on instance seed {inst.seed}: "
@@ -241,7 +260,7 @@ def run_convergence(spec: ExperimentSpec) -> ResultTable:
     """Per-iteration error traces for every (c, p_fail, sigma, trial)."""
     table = ResultTable()
     for cell, trial, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec)
+        _, trace = solve_instance(inst, spec, spec.qs[0])
         for record in trace.records:
             config = cell + (("trial", trial), ("iteration", record.iteration))
             table.add(config, "relative_error", record.relative_error)
@@ -255,7 +274,7 @@ def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
     final relative error is at or below the success threshold."""
     finals = defaultdict(list)
     for cell, _, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec)
+        _, trace = solve_instance(inst, spec, spec.qs[0])
         finals[cell].append(trace.final.relative_error)
     table = ResultTable()
     for cell, errors in finals.items():
@@ -266,12 +285,12 @@ def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
 
 
 def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
-    """Mean final error of the decaying-step method per (c, q) cell, at the
-    spec's p_fail and sigma (a qsweep spec holds one of each)."""
+    """Mean final error of the geometric method per (c, q) cell, each cell's
+    trials run at its q, at the spec's p_fail and sigma (a qsweep spec holds
+    one of each and names the geometric solver)."""
     finals = defaultdict(list)
     for cell, _, inst in trial_instances(spec):
-        cfg = replace(spec.solver_config, decay_q=dict(cell)["q"])
-        _, trace = solve_instance(inst, replace(spec, solver="geometric", solver_config=cfg))
+        _, trace = solve_instance(inst, spec, dict(cell)["q"])
         finals[cell].append(trace.final.relative_error)
     table = ResultTable()
     for cell, errors in finals.items():

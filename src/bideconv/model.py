@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Literal, Union
 
 import numpy as np
@@ -358,57 +357,3 @@ def linearized_residual_operator(
         [rx[:, None] * inst.op.left.to_dense(), lw[:, None] * inst.op.right.to_dense()]
     )
     return a_mat, inst.y - lw * rx
-
-
-_LEFT_KINDS = {"dense": 0, "hadamard": 1}
-
-
-def _pack_side(prefix: str, side: Union[DenseOperator, HadamardSignOperator], out: dict) -> None:
-    if isinstance(side, DenseOperator):
-        out[f"{prefix}_kind"] = np.int64(_LEFT_KINDS["dense"])
-        out[f"{prefix}_entries"] = side.entries
-    else:
-        out[f"{prefix}_kind"] = np.int64(_LEFT_KINDS["hadamard"])
-        out[f"{prefix}_signs"] = side.sign_diagonals
-        out[f"{prefix}_input_dim"] = np.int64(side.input_dim)
-
-
-def _unpack_side(prefix: str, data) -> Union[DenseOperator, HadamardSignOperator]:
-    kind = int(data[f"{prefix}_kind"])
-    if kind == _LEFT_KINDS["dense"]:
-        return DenseOperator(entries=data[f"{prefix}_entries"])
-    if kind == _LEFT_KINDS["hadamard"]:
-        # older archives record a scaling flag; only the ±1 side exists now
-        if f"{prefix}_normalized" in data and int(data[f"{prefix}_normalized"]):
-            raise ValueError(f"{prefix} Hadamard side is scaled by 1/sqrt(dim), no longer supported")
-        return HadamardSignOperator(
-            sign_diagonals=data[f"{prefix}_signs"], input_dim=int(data[f"{prefix}_input_dim"])
-        )
-    raise ValueError(f"unknown operator kind tag {kind}")
-
-
-def save_instance(inst: ProblemInstance, path: str | Path) -> None:
-    """Dump an instance to a .npz archive (no pickling involved)."""
-    payload: dict = {
-        "y": inst.y,
-        "w_bar": inst.truth.w_bar,
-        "x_bar": inst.truth.x_bar,
-        "outlier_mask": inst.outlier_mask,
-        "seed": np.int64(inst.seed),
-    }
-    _pack_side("left", inst.op.left, payload)
-    _pack_side("right", inst.op.right, payload)
-    np.savez(path, **payload)
-
-
-def load_instance(path: str | Path) -> ProblemInstance:
-    """Inverse of :func:`save_instance`."""
-    with np.load(path, allow_pickle=False) as data:
-        op = MeasurementOperator(left=_unpack_side("left", data), right=_unpack_side("right", data))
-        return ProblemInstance(
-            op=op,
-            y=data["y"],
-            truth=GroundTruth(w_bar=data["w_bar"], x_bar=data["x_bar"]),
-            outlier_mask=data["outlier_mask"],
-            seed=int(data["seed"]),
-        )

@@ -186,15 +186,15 @@ def test_hadamard_left_fragility():
         solver_config=SolverConfig(
             max_iters=2000,
             lambda0=1.0,
-            decay_q=0.98,
             tol_rel_err=1e-4,
             stall_window=None,
         ),
         left="hadamard",
+        qs=(0.98,),
     )
     outcomes = defaultdict(list)  # cell -> (success, identifiable) per trial
     for cell, _, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec)
+        _, trace = solve_instance(inst, spec, spec.qs[0])
         success = trace.final.relative_error <= spec.success_threshold
         outcomes[cell].append((success, count_unidentifiable_groups(inst) == 0))
     counts, rates = [], []

@@ -379,6 +379,26 @@ class TestExperimentCommands:
         for statistic in ("c_lower", "c_upper", "c_outlier"):
             assert f"{written[statistic]:.10g}" == printed[statistic]
 
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (["sweep-q", "--trials", "1"], ["--iters", "2000"]),
+            (["sweep-q", "--iters", "1"], ["--trials", "50"]),
+            (["solve", "--solver", "geometric", "--threshold", "1e-300"], ["--iters", "2000"]),
+            (["solve", "--solver", "proxlinear", "--threshold", "1e-300"], ["--iters", "20"]),
+            (["rip-probe"], ["--trials", "500"]),
+        ],
+        ids=["sweep-q-iters", "sweep-q-trials", "geometric-iters", "proxlinear-iters",
+             "rip-probe-trials"],
+    )
+    def test_readme_defaults_are_what_runs(self, capsys, argv, default):
+        # the README states each of these defaults; an unset flag must run it
+        command, *settings = argv
+        code, out, _ = run(capsys, [command, *TINY, *settings])
+        code_set, out_set, _ = run(capsys, [command, *TINY, *settings, *default])
+        assert code == code_set == 0
+        assert out == out_set
+
     def test_csv_bytes_stable_across_invocations(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["phase", *TINY, "--iters", "80", "--trials", "2"]

@@ -77,10 +77,28 @@ class TestExperimentSpec:
             {"left": "circulant"},
             {"m_ratios": (8, 8)},
             {"kind": "sweep"},
+            {"noise_kind": "gaussian"},
+            {"qs": (1.0,)},
         ],
     )
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
+            small_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # a second q in the solver config would silently replace the spec's
+            pytest.param({"solver_config": SolverConfig(decay_q=0.5)}, "qs", id="decay_q"),
+            # a qsweep runs the geometric solver only
+            pytest.param({"kind": "qsweep", "solver": "proxlinear"}, "solver 'proxlinear'",
+                         id="qsweep-proxlinear"),
+            pytest.param({"kind": "qsweep", "solver": "polyak"}, "solver 'polyak'",
+                         id="qsweep-polyak"),
+        ],
+    )
+    def test_rejection_names_the_setting(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
             small_spec(**overrides)
 
 
@@ -161,6 +179,21 @@ class TestRunPhaseTransition:
                 "median_final_error", c=8
             )
 
+    def test_runs_at_the_specs_q(self):
+        # the same cell at the default q = 0.98 gives 0.34689449159591623
+        spec = ExperimentSpec(
+            kind="phase",
+            d1=6,
+            d2=6,
+            m_ratios=(4,),
+            p_fails=(0.1,),
+            trials=2,
+            solver="geometric",
+            qs=(0.5,),
+            solver_config=SolverConfig(max_iters=40, stall_window=None),
+        )
+        assert run_phase_transition(spec).values("median_final_error") == [0.2818004559664355]
+
     def test_success_rate_monotone_in_oversampling(self):
         spec = small_spec(
             d1=8,
@@ -168,9 +201,8 @@ class TestRunPhaseTransition:
             m_ratios=(2, 8),
             trials=6,
             solver="geometric",
-            solver_config=SolverConfig(
-                max_iters=400, lambda0=1.0, decay_q=0.95, stall_window=None
-            ),
+            solver_config=SolverConfig(max_iters=400, lambda0=1.0, stall_window=None),
+            qs=(0.95,),
             success_threshold=1e-4,
         )
         table = run_phase_transition(spec)

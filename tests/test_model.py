@@ -14,11 +14,9 @@ from bideconv.model import (
     corrupted_count,
     generate_instance,
     linearized_residual_operator,
-    load_instance,
     objective,
     objective_and_subgradient,
     partial_hadamard_left,
-    save_instance,
 )
 from oracles import count_unidentifiable_groups, fd_gradient, pattern_groups
 
@@ -352,64 +350,3 @@ class TestSignalTypes:
     def test_ground_truth_rejects_zero_factor(self):
         with pytest.raises(ValueError):
             GroundTruth(w_bar=np.zeros(3), x_bar=np.ones(2))
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("left", ["gaussian", "hadamard"])
-    def test_round_trip(self, tmp_path, left):
-        inst = generate_instance(
-            4, 6, 16, left=left, noise=NoiseSpec.gaussian(0.25, sigma=3.0), seed=61
-        )
-        path = tmp_path / "inst.npz"
-        save_instance(inst, path)
-        back = load_instance(path)
-        np.testing.assert_array_equal(back.y, inst.y)
-        np.testing.assert_array_equal(back.outlier_mask, inst.outlier_mask)
-        np.testing.assert_array_equal(back.truth.w_bar, inst.truth.w_bar)
-        np.testing.assert_array_equal(back.truth.x_bar, inst.truth.x_bar)
-        assert back.seed == inst.seed
-        v = np.random.default_rng(0).standard_normal(4)
-        np.testing.assert_array_equal(
-            back.op.left.apply_forward(v), inst.op.left.apply_forward(v)
-        )
-        assert type(back.op.left) is type(inst.op.left)
-
-    @staticmethod
-    def flagged_archive(path, normalized: int) -> ProblemInstance:
-        """A Hadamard-left instance, written by hand in the archive format
-        that also stored a ``<side>_normalized`` scaling flag."""
-        inst = generate_instance(4, 6, 16, left="hadamard", seed=61)
-        np.savez(
-            path,
-            y=inst.y,
-            w_bar=inst.truth.w_bar,
-            x_bar=inst.truth.x_bar,
-            outlier_mask=inst.outlier_mask,
-            seed=np.int64(inst.seed),
-            left_kind=np.int64(1),
-            left_signs=inst.op.left.sign_diagonals,
-            left_input_dim=np.int64(inst.op.left.input_dim),
-            left_normalized=np.int64(normalized),
-            right_kind=np.int64(0),
-            right_entries=inst.op.right.entries,
-        )
-        return inst
-
-    def test_archive_with_a_scaled_hadamard_side_is_rejected(self, tmp_path):
-        path = tmp_path / "scaled.npz"
-        self.flagged_archive(path, normalized=1)
-        with pytest.raises(ValueError, match="left Hadamard side is scaled"):
-            load_instance(path)
-
-    def test_archive_with_an_unscaled_flag_loads_the_same_instance(self, tmp_path):
-        path = tmp_path / "unscaled.npz"
-        inst = self.flagged_archive(path, normalized=0)
-        back = load_instance(path)
-        np.testing.assert_array_equal(back.y, inst.y)
-        np.testing.assert_array_equal(back.outlier_mask, inst.outlier_mask)
-        np.testing.assert_array_equal(back.truth.w_bar, inst.truth.w_bar)
-        np.testing.assert_array_equal(back.truth.x_bar, inst.truth.x_bar)
-        assert back.seed == inst.seed
-        assert type(back.op.left) is type(inst.op.left)
-        np.testing.assert_array_equal(back.op.left.to_dense(), inst.op.left.to_dense())
-        np.testing.assert_array_equal(back.op.right.to_dense(), inst.op.right.to_dense())
