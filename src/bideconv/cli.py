@@ -4,7 +4,8 @@ Each setting is one row of ``_SETTINGS``: its key is both the flag
 (``--key``) and the config-file key, and its parse turns the text into
 ``ExperimentSpec`` / ``SolverConfig`` fields.  Each command takes only the
 settings it reads (its ``_COMMANDS`` row), so any other flag or config-file
-key is a configuration error, never silently ignored.  Settings resolve in
+key is a configuration error, never silently ignored, as is a solver setting
+the chosen solver never reads (``_SOLVER_ONLY``).  Settings resolve in
 three layers: the dataclass defaults (plus the few CLI defaults that differ
 from them), then a flat ``key=value`` config file (``--config``), then
 explicit command-line flags, later layers winning.  Exit codes: 0 success, 2
@@ -22,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .experiments import (
-    CELL_GRIDS,
+    KINDS,
     SOLVER_FUNCTIONS,
     ExperimentSpec,
     ResultTable,
@@ -33,7 +34,6 @@ from .experiments import (
 )
 from .geometry import estimate_rip_constants
 from .linops import DimensionError
-from .model import ProblemInstance
 from .solvers import SolverConfig
 from .spectral_init import DegenerateFitError
 
@@ -78,8 +78,6 @@ def _parse_noise(text: str) -> dict[str, Any]:
         if not spec.startswith("sigma="):
             raise ConfigError(f"expected sigma=..., got {spec!r}")
         sigmas = _parse_float_list(spec[len("sigma=") :])
-        if any(s <= 0 for s in sigmas):
-            raise ConfigError("sigma values must be positive")
     return {"noise_kind": kind, "sigmas": sigmas}
 
 
@@ -118,6 +116,8 @@ _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 # the setting that gives each ExperimentSpec grid; a command takes one value of
 # every grid it does not fan out over
 _GRID_NAMES = {"m_ratios": "c", "p_fails": "pfail", "sigmas": "noise sigma", "qs": "q"}
+# the solver settings that one solver alone reads -> that solver
+_SOLVER_ONLY = {"q": "geometric", "lambda": "geometric", "beta": "proxlinear"}
 
 
 def read_config_file(path: str, command: str) -> dict[str, str]:
@@ -150,7 +150,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
         values.update(_SETTINGS[key][1](text))
     out = values.pop("out", None)
     _, kind, handler, _ = _COMMANDS[args.command]
-    fanned_out = CELL_GRIDS[kind] if handler is _cmd_experiment else ()
+    fanned_out = KINDS[kind][0] if handler is _cmd_experiment else ()
     for grid, name in _GRID_NAMES.items():
         if grid not in fanned_out and len(values.get(grid, ())) > 1:
             raise ConfigError(f"{args.command} takes one value of {name}")
@@ -162,6 +162,9 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
         spec = ExperimentSpec(kind=kind, solver_config=SolverConfig(**solver_values), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key, reader in _SOLVER_ONLY.items():
+        if key in texts and spec.solver != reader:
+            raise ConfigError(f"solver {spec.solver!r} reads no {key}; only {reader} does")
     return spec, out
 
 
@@ -177,14 +180,8 @@ def _maybe_emit(table: ResultTable, out: str | None) -> None:
         print(f"wrote {len(table)} rows to {out}")
 
 
-def _first_instance(spec: ExperimentSpec) -> ProblemInstance:
-    return make_instance(
-        spec, spec.m_ratios[0], spec.p_fails[0], spec.sigmas[0], spec.base_seed
-    )
-
-
 def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
-    inst = _first_instance(spec)
+    inst = make_instance(spec, (), spec.base_seed)
     start = initial_point(inst, spec.init)
     cfg = replace(spec.solver_config, decay_q=spec.qs[0], tol_rel_err=spec.success_threshold)
     final, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, cfg)
@@ -217,15 +214,15 @@ def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
 
 
 def _final_error_medians(table: ResultTable) -> ResultTable:
-    """Per (c, p_fail, sigma) cell of a convergence table, the median over
-    trials of each trial's last relative error, in one scan of the rows."""
+    """Per cell of a convergence table, the median over trials of each
+    trial's last relative error, in one scan of the rows."""
     finals = {}
     for row in table.rows:  # a trial's iterations are added in order
         if row.statistic == "relative_error":
-            finals[row.config[:4]] = row.value  # (c, p_fail, sigma, trial)
+            finals[row.config[:-1]] = row.value  # the cell and the trial
     cells = defaultdict(list)
     for config, value in finals.items():
-        cells[config[:3]].append(value)
+        cells[config[:-1]].append(value)
     summary = ResultTable()
     for cell, values in cells.items():
         summary.add(cell, "median_final_error", float(np.median(values)))
@@ -241,7 +238,8 @@ def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
 
 
 def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
-    inst = _first_instance(spec)
+    config = (("c", spec.m_ratios[0]), ("p_fail", spec.p_fails[0]), ("sigma", spec.sigmas[0]))
+    inst = make_instance(spec, config, spec.base_seed)
     est = estimate_rip_constants(
         inst.op, inst.outlier_mask, samples=spec.trials, seed=spec.base_seed
     )
@@ -251,7 +249,6 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
     print(f"upper/lower  = {est.c_upper / est.c_lower:.10g}")
     print(f"samples      = {est.sample_count}")
     table = ResultTable()
-    config = (("c", spec.m_ratios[0]), ("p_fail", spec.p_fails[0]), ("sigma", spec.sigmas[0]))
     for statistic in ("c_lower", "c_upper", "c_outlier"):
         table.add(config, statistic, getattr(est, statistic))
     table.add(config, "samples", est.sample_count)
@@ -270,9 +267,8 @@ _COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int]
                  "trials solver q lambda beta init iters"),
     "phase": ("success-rate grid over (p_fail, c)", "phase", _cmd_experiment,
               "trials solver q lambda beta init iters threshold"),
-    # the sweep runs the geometric solver, which reads no --beta
     "sweep-q": ("decay-rate sweep, mean final error", "qsweep", _cmd_experiment,
-                "trials solver q lambda init iters"),
+                "trials solver q lambda beta init iters"),
     "rip-probe": ("landscape constants probe", "init", _cmd_rip_probe, "trials"),
 }
 # the instance settings and the CSV path, which every command reads

@@ -1,10 +1,12 @@
 """Seeded Monte-Carlo experiment drivers with CSV output.
 
-``trial_instances`` is the one place trials are seeded: it enumerates a
-spec's cells and trials and draws each trial's instance from the base seed
-plus the cell's parameter VALUES (not grid positions), so a cell's result is
-a pure function of its configuration: reordering, subsetting, or
-parallelizing the grid cannot change any number in the output table.
+``KINDS`` maps each experiment kind to the grids it fans out over and the
+runner that reduces its trials to a table.  ``trial_instances`` is the one
+place trials are seeded: it enumerates a spec's cells and trials and draws
+each trial's instance from the base seed plus the cell's parameter VALUES
+(not grid positions), so a cell's result is a pure function of its
+configuration: reordering, subsetting, or parallelizing the grid cannot
+change any number in the output table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .spectral_init import direction_error, spectral_initialize
 
 SolverName = Literal["polyak", "geometric", "proxlinear"]
 InitName = Literal["spectral", "random-heuristic"]
-Kind = Literal["convergence", "phase", "qsweep", "init"]
 
 SOLVER_FUNCTIONS = {
     "polyak": polyak_subgradient,
@@ -45,13 +46,8 @@ SOLVER_FUNCTIONS = {
 
 # ExperimentSpec grid field -> its key in a cell's config
 GRID_KEYS = {"m_ratios": "c", "p_fails": "p_fail", "sigmas": "sigma", "qs": "q"}
-# the grids each kind fans out over; it runs at one value of every other grid
-CELL_GRIDS: dict[str, tuple[str, ...]] = {
-    "convergence": ("m_ratios", "p_fails", "sigmas"),
-    "phase": ("m_ratios", "p_fails", "sigmas"),
-    "qsweep": ("m_ratios", "qs"),
-    "init": ("m_ratios", "p_fails", "sigmas"),
-}
+# ExperimentSpec.noise_kind -> the NoiseSpec kind it draws
+NOISE_KINDS = {"n1": "gaussian", "n2": "implant"}
 
 
 def derive_seed(base_seed: int, *parts: int | float | str) -> int:
@@ -82,9 +78,10 @@ class ExperimentSpec:
     ``qs`` is the one home of the geometric decay rate: every solver runs at
     its cell's q, which is the spec's one ``qs`` value for a kind that does
     not fan out over q, so ``solver_config.decay_q`` must keep its default.
+    Each (p_fail, sigma) must make a valid ``NoiseSpec``, checked before any trial.
     """
 
-    kind: Kind
+    kind: str
     d1: int = 100
     d2: int = 100
     m_ratios: tuple[int, ...] = (8,)
@@ -105,7 +102,7 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("dimensions must be positive")
-        if self.kind not in CELL_GRIDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for name in GRID_KEYS:
             grid = getattr(self, name)
@@ -113,7 +110,7 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(grid)) < len(grid):
                 raise ValueError(f"{name} repeats a value")
-            if name not in CELL_GRIDS[self.kind] and len(grid) > 1:
+            if name not in KINDS[self.kind][0] and len(grid) > 1:
                 raise ValueError(f"a {self.kind} runs at one value of {name}, got {len(grid)}")
         if not all(0.0 < q < 1.0 for q in self.qs):
             raise ValueError(f"qs values must lie in (0, 1), got {self.qs}")
@@ -125,8 +122,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.kind == "qsweep" and self.solver != "geometric":
             raise ValueError(f"a qsweep runs the geometric solver, got solver {self.solver!r}")
-        if self.noise_kind not in ("n1", "n2"):
+        if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be n1 or n2, got {self.noise_kind!r}")
+        for p_fail, sigma in itertools.product(self.p_fails, self.sigmas):
+            _noise(self, p_fail, sigma)
         if self.init not in ("spectral", "random-heuristic"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.left not in ("gaussian", "hadamard"):
@@ -175,25 +174,27 @@ class ResultTable:
         ]
 
 
-def _noise(spec: ExperimentSpec, p_fail: float, sigma: float) -> NoiseSpec | None:
-    if p_fail == 0.0:
-        return None
-    if spec.noise_kind == "n1":
-        return NoiseSpec.gaussian(p_fail, sigma=sigma)
-    return NoiseSpec.implanted(p_fail)
+def _noise(spec: ExperimentSpec, p_fail: float, sigma: float) -> NoiseSpec:
+    """The noise of a cell; ``NoiseSpec`` judges its p_fail and sigma."""
+    return NoiseSpec(p_fail, kind=NOISE_KINDS[spec.noise_kind], sigma=sigma)
 
 
-def make_instance(
-    spec: ExperimentSpec, c: int, p_fail: float, sigma: float, seed: int
-) -> ProblemInstance:
-    """The instance of cell (c, p_fail, sigma) drawn from ``seed``: m = c(d1 + d2)
+def _cell_values(spec: ExperimentSpec, cell: Config) -> dict[str, int | float]:
+    """Every grid key's value in ``cell``: the cell's own, or the spec's one
+    value of a grid the cell does not name."""
+    return {key: getattr(spec, name)[0] for name, key in GRID_KEYS.items()} | dict(cell)
+
+
+def make_instance(spec: ExperimentSpec, cell: Config, seed: int) -> ProblemInstance:
+    """The instance of ``cell`` drawn from ``seed``: m = c(d1 + d2)
     measurements with the spec's left side and noise model."""
+    at = _cell_values(spec, cell)
     return generate_instance(
         spec.d1,
         spec.d2,
-        c * (spec.d1 + spec.d2),
+        at["c"] * (spec.d1 + spec.d2),
         left=spec.left,
-        noise=_noise(spec, p_fail, sigma),
+        noise=_noise(spec, at["p_fail"], at["sigma"]),
         seed=seed,
     )
 
@@ -245,22 +246,19 @@ def trial_instances(spec: ExperimentSpec) -> Iterator[tuple[Config, int, Problem
     value each.  Trial ``t`` of a cell draws its instance from
     ``derive_seed(base_seed, kind, *cell values, t)``.
     """
-    grids = CELL_GRIDS[spec.kind]
-    point = {key: getattr(spec, name)[0] for name, key in GRID_KEYS.items()}
+    grids = KINDS[spec.kind][0]
     for values in itertools.product(*(getattr(spec, name) for name in grids)):
         cell: Config = tuple(zip((GRID_KEYS[name] for name in grids), values))
-        point.update(cell)
         for trial in range(spec.trials):
             seed = derive_seed(spec.base_seed, spec.kind, *values, trial)
-            inst = make_instance(spec, point["c"], point["p_fail"], point["sigma"], seed)
-            yield cell, trial, inst
+            yield cell, trial, make_instance(spec, cell, seed)
 
 
 def run_convergence(spec: ExperimentSpec) -> ResultTable:
     """Per-iteration error traces for every (c, p_fail, sigma, trial)."""
     table = ResultTable()
     for cell, trial, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec, spec.qs[0])
+        _, trace = solve_instance(inst, spec, _cell_values(spec, cell)["q"])
         for record in trace.records:
             config = cell + (("trial", trial), ("iteration", record.iteration))
             table.add(config, "relative_error", record.relative_error)
@@ -269,15 +267,20 @@ def run_convergence(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
+def _final_errors(spec: ExperimentSpec) -> dict[Config, list[float]]:
+    """Each cell's final relative errors, every trial solved at its cell's q."""
+    finals = defaultdict(list)
+    for cell, _, inst in trial_instances(spec):
+        _, trace = solve_instance(inst, spec, _cell_values(spec, cell)["q"])
+        finals[cell].append(trace.final.relative_error)
+    return finals
+
+
 def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
     """Success-rate grid over (c, p_fail, sigma): fraction of trials whose
     final relative error is at or below the success threshold."""
-    finals = defaultdict(list)
-    for cell, _, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec, spec.qs[0])
-        finals[cell].append(trace.final.relative_error)
     table = ResultTable()
-    for cell, errors in finals.items():
+    for cell, errors in _final_errors(spec).items():
         successes = sum(error <= spec.success_threshold for error in errors)
         table.add(cell, "success_rate", successes / spec.trials)
         table.add(cell, "median_final_error", float(np.median(errors)))
@@ -288,12 +291,8 @@ def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
     """Mean final error of the geometric method per (c, q) cell, each cell's
     trials run at its q, at the spec's p_fail and sigma (a qsweep spec holds
     one of each and names the geometric solver)."""
-    finals = defaultdict(list)
-    for cell, _, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec, dict(cell)["q"])
-        finals[cell].append(trace.final.relative_error)
     table = ResultTable()
-    for cell, errors in finals.items():
+    for cell, errors in _final_errors(spec).items():
         table.add(cell, "mean_final_error", float(np.mean(errors)))
     return table
 
@@ -317,16 +316,18 @@ def run_init_quality(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-_RUNNERS = {
-    "convergence": run_convergence,
-    "phase": run_phase_transition,
-    "qsweep": run_q_sweep,
-    "init": run_init_quality,
+# kind -> (the grids it fans out over, its runner); a kind runs at the one
+# value of every other grid
+KINDS = {
+    "convergence": (("m_ratios", "p_fails", "sigmas"), run_convergence),
+    "phase": (("m_ratios", "p_fails", "sigmas"), run_phase_transition),
+    "qsweep": (("m_ratios", "qs"), run_q_sweep),
+    "init": (("m_ratios", "p_fails", "sigmas"), run_init_quality),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    return _RUNNERS[spec.kind](spec)
+    return KINDS[spec.kind][1](spec)
 
 
 def _format_value(value: int | float | str) -> str:

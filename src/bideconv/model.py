@@ -131,7 +131,7 @@ class NoiseSpec:
     with the planted pair but carry no structure of their own.
     ``kind="implant"`` instead overwrites failed measurements with the
     measurements of a second signal pair (drawn at generation time when not
-    supplied), so the corruption itself looks like a consistent signal.
+    supplied), so the corruption is a consistent signal; it reads no sigma.
     """
 
     p_fail: float
@@ -146,6 +146,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.kind == "implant" and self.sigma != 1.0:
+            raise ValueError(f"the implant model reads no sigma, got {self.sigma}")
 
     @classmethod
     def gaussian(cls, p_fail: float, sigma: float = 1.0) -> "NoiseSpec":

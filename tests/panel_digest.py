@@ -1,4 +1,4 @@
-"""Print one SHA-256 per benchmark workload and per README command.
+"""Print one SHA-256 per benchmark workload and per README or extra command.
 
 For each workload in ``bench/workloads.py`` this builds the first six
 instances of its panel at ``--seed N``, runs ``spectral_initialize`` and the
@@ -7,9 +7,10 @@ workload's solver on each, and hashes the start ``w0``, ``x0``, the final
 each ``bideconv`` command of the README's "Command line" block, read as
 ``tests/test_readme.py`` reads it and run as written (so these lines do not
 depend on ``--seed``), with ``--out table.csv`` in a temporary directory, and
-hashes its exit code, its stdout and the CSV bytes.  Two trees print the same
-lines exactly when all of these agree to the bit, so a change meant to leave
-results alone is checked by running, in each tree,
+hashes its exit code, its stdout and the CSV bytes.  It hashes the commands
+of ``EXTRA_COMMANDS``, which the README block does not cover, the same way.
+Two trees print the same lines exactly when all of these agree to the bit,
+so a change meant to leave results alone is checked by running, in each tree,
 
     python3 tests/panel_digest.py --seed 1
 
@@ -51,6 +52,12 @@ from test_readme import readme_commands  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 INSTANCES = 6
+# a converge run, whose stdout is the per-cell median summary, and an n2 run
+EXTRA_COMMANDS = [
+    "converge --d1 10 --d2 10 --c 4,6 --pfail 0.1 --trials 3 --solver geometric --q 0.95"
+    " --iters 300 --seed 2",
+    "init --d1 16 --d2 16 --c 8 --pfail 0.1,0.2 --left hadamard --noise n2 --trials 3 --seed 4",
+]
 
 
 def digest(name: str, seed: int) -> str:
@@ -95,6 +102,9 @@ def main(argv: list[str]) -> int:
         print(f"{name}  seed {args.seed}  {digest(name, args.seed)}")
     for command in readme_commands():
         print(f"readme {command[0]}  {command_digest(command)}")
+    for text in EXTRA_COMMANDS:
+        command = text.split()
+        print(f"extra {command[0]}  {command_digest(command)}")
     return 0
 
 

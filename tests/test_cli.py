@@ -4,7 +4,9 @@ config-file layer, exit codes, and CSV side effects."""
 import numpy as np
 import pytest
 
+from bideconv import experiments
 from bideconv.cli import main
+from bideconv.experiments import solve_instance
 
 TINY = ["--d1", "5", "--d2", "5", "--c", "4", "--seed", "3"]
 
@@ -161,15 +163,51 @@ class TestExitCodes:
             (["converge", *TINY, "--threshold", "0.5"], ["--threshold"]),
             (["solve", *TINY, "--trials", "7"], ["--trials"]),
             (["sweep-q", *TINY, "--solver", "proxlinear"], ["solver 'proxlinear'"]),
+            # a solver setting that the chosen solver never reads
+            (["solve", *TINY, "--solver", "proxlinear", "--lambda", "1e300", "--iters", "3"],
+             ["solver 'proxlinear' reads no lambda"]),
+            (["solve", *TINY, "--solver", "proxlinear", "--q", "0.1", "--iters", "3"],
+             ["solver 'proxlinear' reads no q"]),
+            (["solve", *TINY, "--q", "0.9", "--iters", "3"], ["solver 'polyak' reads no q"]),
+            (["converge", *TINY, "--solver", "geometric", "--beta", "2", "--iters", "3"],
+             ["solver 'geometric' reads no beta"]),
+            (["phase", *TINY, "--solver", "polyak", "--lambda", "2", "--iters", "3"],
+             ["solver 'polyak' reads no lambda"]),
+            (["sweep-q", *TINY, "--beta", "2", "--iters", "3", "--trials", "1"],
+             ["solver 'geometric' reads no beta"]),
         ],
-        ids=["init", "rip-probe", "converge", "solve", "sweep-q"],
+        ids=["init", "rip-probe", "converge", "solve", "sweep-q", "solve-lambda", "solve-q",
+             "solve-polyak-q", "converge-beta", "phase-lambda", "sweep-q-beta"],
     )
     def test_settings_the_command_never_reads_exit_2(self, capsys, argv, settings):
-        # the command reads none of these settings, so it could only ignore them
+        # the command or its solver reads none of these settings, so it could only ignore them
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         for setting in settings:
             assert setting in err
+
+    def test_solver_setting_from_a_config_file_is_judged_too(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver=polyak\nbeta=2\n", encoding="utf-8")
+        code, out, err = run(capsys, ["solve", *TINY, "--config", str(cfg), "--iters", "3"])
+        assert (code, out) == (2, "")
+        assert "solver 'polyak' reads no beta" in err
+
+    def test_bad_cell_is_refused_before_the_first_trial(self, capsys, monkeypatch):
+        # the p_fail 0.1 cell comes first; the 0.6 cell used to fail only after it ran
+        solves = []
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve_instance(*args)
+
+        monkeypatch.setattr(experiments, "solve_instance", counting_solve)
+        argv = ["phase", "--d1", "8", "--d2", "8", "--c", "4", "--pfail", "0.1,0.6", "--trials",
+                "2", "--solver", "geometric", "--iters", "200", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "p_fail must lie in [0, 1/2), got 0.6" in err
+        assert solves == []
 
     def test_config_key_the_command_never_reads_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

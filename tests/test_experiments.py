@@ -95,6 +95,15 @@ class TestExperimentSpec:
                          id="qsweep-proxlinear"),
             pytest.param({"kind": "qsweep", "solver": "polyak"}, "solver 'polyak'",
                          id="qsweep-polyak"),
+            # every cell's noise is judged before any trial: n2 reads no sigma, so a
+            # second one would only fan out reseeded copies
+            pytest.param({"kind": "init", "noise_kind": "n2", "sigmas": (1.0, 100.0)},
+                         "reads no sigma", id="n2-sigmas"),
+            # p_fail 0 draws no noise, yet its sigma is judged all the same
+            pytest.param({"p_fails": (0.0,), "sigmas": (-3.0,)}, "sigma must be positive",
+                         id="negative-sigma"),
+            # every cell is judged, not only the first one to run
+            pytest.param({"p_fails": (0.1, 0.6)}, "p_fail must lie", id="p_fail-0.6"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):

@@ -118,6 +118,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             NoiseSpec.gaussian(0.5)
 
+    def test_implant_rejects_the_sigma_it_never_reads(self):
+        with pytest.raises(ValueError, match="reads no sigma"):
+            NoiseSpec(0.2, kind="implant", sigma=100.0)
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionError):
             generate_instance(0, 4, 8)

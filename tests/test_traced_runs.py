@@ -22,12 +22,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import checks  # noqa: E402
 import tracing  # noqa: E402
+from workloads import GEOMETRIC, PROXLINEAR  # noqa: E402
 
 from bideconv import linops, solvers, spectral_init  # noqa: E402
 from bideconv.model import NoiseSpec, SignalPair, generate_instance  # noqa: E402
-
-GEOMETRIC = solvers.SolverConfig(max_iters=2000, lambda0=1.0, decay_q=0.98, tol_rel_err=1e-4, stall_window=None)
-PROXLINEAR = solvers.SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
 
 
 def solve(inst, solver: str, cfg: solvers.SolverConfig):
