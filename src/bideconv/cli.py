@@ -23,7 +23,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .experiments import (
+    CHOICES,
     KINDS,
+    NOISE_KINDS,
     SOLVER_FUNCTIONS,
     ExperimentSpec,
     ResultTable,
@@ -33,7 +35,6 @@ from .experiments import (
     run_experiment,
 )
 from .geometry import estimate_rip_constants
-from .linops import DimensionError
 from .solvers import SolverConfig
 from .spectral_init import DegenerateFitError
 
@@ -66,15 +67,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _parse_noise(text: str) -> dict[str, Any]:
     """``n1,sigma=1.0`` (sigma accepts a comma list) or ``n2``."""
-    tokens = text.split(",")
-    kind = tokens[0].strip()
-    if kind not in ("n1", "n2"):
-        raise ConfigError(f"noise model must be n1 or n2, got {kind!r}")
+    kind, comma, spec = text.partition(",")
+    kind = kind.strip()
+    if kind not in NOISE_KINDS:
+        raise ConfigError(f"noise model must be {' or '.join(NOISE_KINDS)}, got {kind!r}")
     sigmas = (1.0,)
-    if len(tokens) > 1:
-        if kind == "n2":
+    if comma:
+        if NOISE_KINDS[kind] == "implant":  # even sigma=1: the spec cannot tell it from unset
             raise ConfigError("the implant model takes no sigma")
-        spec = ",".join(tokens[1:])
         if not spec.startswith("sigma="):
             raise ConfigError(f"expected sigma=..., got {spec!r}")
         sigmas = _parse_float_list(spec[len("sigma=") :])
@@ -93,9 +93,9 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
     "pfail": ("corruption fraction(s), comma list", lambda t: {"p_fails": _parse_float_list(t)}),
     "trials": ("Monte-Carlo trials per cell", lambda t: {"trials": _parse_int(t)}),
     "seed": ("base seed", lambda t: {"base_seed": _parse_int(t)}),
-    "solver": ("polyak | geometric | proxlinear", lambda t: {"solver": t}),
-    "noise": ("n1,sigma=... (sigma accepts a list) or n2", _parse_noise),
-    "left": ("gaussian | hadamard", lambda t: {"left": t}),
+    "solver": (" | ".join(CHOICES["solver"]), lambda t: {"solver": t}),
+    "noise": (" | ".join(NOISE_KINDS) + "; n1,sigma=... takes a list", _parse_noise),
+    "left": (" | ".join(CHOICES["left"]), lambda t: {"left": t}),
     "q": ("geometric decay rate(s), comma list", lambda t: {"qs": _parse_float_list(t)}),
     "lambda": ("initial step length", lambda t: {"lambda0": _parse_float(t)}),
     "beta": ("prox-linear quadratic weight", lambda t: {"prox_beta": _parse_float(t)}),
@@ -104,7 +104,7 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
         lambda t: {"success_threshold": _parse_float(t)},
     ),
     "out": ("CSV output path", lambda t: {"out": t}),
-    "init": ("spectral | random-heuristic", lambda t: {"init": t}),
+    "init": (" | ".join(CHOICES["init"]), lambda t: {"init": t}),
     "iters": ("iteration budget", lambda t: {"max_iters": _parse_int(t)}),
 }
 
@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateFitError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, DimensionError) as exc:
+    except ValueError as exc:  # DimensionError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -16,15 +16,18 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
 
 from .model import (
+    LEFT_SIDES,
     NoiseSpec,
     ProblemInstance,
     SignalPair,
+    check_instance_shape,
     generate_instance,
+    pick,
 )
 from .solvers import (
     SolverConfig,
@@ -34,9 +37,6 @@ from .solvers import (
     prox_linear,
 )
 from .spectral_init import direction_error, spectral_initialize
-
-SolverName = Literal["polyak", "geometric", "proxlinear"]
-InitName = Literal["spectral", "random-heuristic"]
 
 SOLVER_FUNCTIONS = {
     "polyak": polyak_subgradient,
@@ -78,7 +78,8 @@ class ExperimentSpec:
     ``qs`` is the one home of the geometric decay rate: every solver runs at
     its cell's q, which is the spec's one ``qs`` value for a kind that does
     not fan out over q, so ``solver_config.decay_q`` must keep its default.
-    Each (p_fail, sigma) must make a valid ``NoiseSpec``, checked before any trial.
+    Every name is a key of its ``CHOICES`` table, and every cell must make a
+    valid instance shape, ``NoiseSpec`` and decay rate, checked before any trial.
     """
 
     kind: str
@@ -88,22 +89,20 @@ class ExperimentSpec:
     p_fails: tuple[float, ...] = (0.0,)
     trials: int = 20
     base_seed: int = 0
-    solver: SolverName = "polyak"
+    solver: str = "polyak"
     success_threshold: float = 1e-5
     solver_config: SolverConfig = field(default_factory=SolverConfig)
-    init: InitName = "spectral"
-    noise_kind: Literal["n1", "n2"] = "n1"
+    init: str = "spectral"
+    noise_kind: str = "n1"
     sigmas: tuple[float, ...] = (1.0,)
-    left: Literal["gaussian", "hadamard"] = "gaussian"
+    left: str = "gaussian"
     qs: tuple[float, ...] = (0.98,)
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("dimensions must be positive")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name, table in CHOICES.items():
+            pick(table, getattr(self, name), name)
         for name in GRID_KEYS:
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -112,24 +111,16 @@ class ExperimentSpec:
                 raise ValueError(f"{name} repeats a value")
             if name not in KINDS[self.kind][0] and len(grid) > 1:
                 raise ValueError(f"a {self.kind} runs at one value of {name}, got {len(grid)}")
-        if not all(0.0 < q < 1.0 for q in self.qs):
-            raise ValueError(f"qs values must lie in (0, 1), got {self.qs}")
         if self.solver_config.decay_q != SolverConfig.decay_q:
             raise ValueError(
                 f"set the decay rate in qs, not solver_config.decay_q={self.solver_config.decay_q}"
             )
-        if self.solver not in SOLVER_FUNCTIONS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+        for q in self.qs:
+            replace(self.solver_config, decay_q=q)
         if self.kind == "qsweep" and self.solver != "geometric":
             raise ValueError(f"a qsweep runs the geometric solver, got solver {self.solver!r}")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be n1 or n2, got {self.noise_kind!r}")
-        for p_fail, sigma in itertools.product(self.p_fails, self.sigmas):
-            _noise(self, p_fail, sigma)
-        if self.init not in ("spectral", "random-heuristic"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.left not in ("gaussian", "hadamard"):
-            raise ValueError(f"left operator must be gaussian or hadamard, got {self.left!r}")
+        for cell in itertools.product(self.m_ratios, self.p_fails, self.sigmas):
+            _m_noise(self, *cell)
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
 
@@ -174,9 +165,12 @@ class ResultTable:
         ]
 
 
-def _noise(spec: ExperimentSpec, p_fail: float, sigma: float) -> NoiseSpec:
-    """The noise of a cell; ``NoiseSpec`` judges its p_fail and sigma."""
-    return NoiseSpec(p_fail, kind=NOISE_KINDS[spec.noise_kind], sigma=sigma)
+def _m_noise(spec: ExperimentSpec, c: int, p_fail: float, sigma: float) -> tuple[int, NoiseSpec]:
+    """A cell's m = c(d1 + d2) and noise, judged by the model's own rules:
+    ``check_instance_shape`` and ``NoiseSpec``."""
+    m = c * (spec.d1 + spec.d2)
+    check_instance_shape(spec.d1, spec.d2, m, spec.left)
+    return m, NoiseSpec(p_fail, kind=NOISE_KINDS[spec.noise_kind], sigma=sigma)
 
 
 def _cell_values(spec: ExperimentSpec, cell: Config) -> dict[str, int | float]:
@@ -186,40 +180,38 @@ def _cell_values(spec: ExperimentSpec, cell: Config) -> dict[str, int | float]:
 
 
 def make_instance(spec: ExperimentSpec, cell: Config, seed: int) -> ProblemInstance:
-    """The instance of ``cell`` drawn from ``seed``: m = c(d1 + d2)
-    measurements with the spec's left side and noise model."""
+    """The instance of ``cell`` drawn from ``seed`` with the spec's sizes,
+    left side and noise model."""
     at = _cell_values(spec, cell)
-    return generate_instance(
-        spec.d1,
-        spec.d2,
-        at["c"] * (spec.d1 + spec.d2),
-        left=spec.left,
-        noise=_noise(spec, at["p_fail"], at["sigma"]),
-        seed=seed,
-    )
+    m, noise = _m_noise(spec, at["c"], at["p_fail"], at["sigma"])
+    return generate_instance(spec.d1, spec.d2, m, left=spec.left, noise=noise, seed=seed)
 
 
-def initial_point(inst: ProblemInstance, init: InitName) -> SignalPair:
-    """Starting point for a solver run.
+def _spectral_start(inst: ProblemInstance) -> SignalPair:
+    est = spectral_initialize(inst)
+    return SignalPair(w=est.w0, x=est.x0)
 
-    ``spectral`` is the robust pipeline.  ``random-heuristic`` draws uniform
-    directions, rescales both factors by the true magnitude, and takes a
-    single value-gap step (with target value 0, a heuristic under corruption)
-    to pull the random point toward the measurement-consistent set.
-    """
-    if init == "spectral":
-        est = spectral_initialize(inst)
-        return SignalPair(w=est.w0, x=est.x0)
+
+def _random_heuristic_start(inst: ProblemInstance) -> SignalPair:
+    """Uniform directions rescaled by the true magnitude, then a single
+    value-gap step (with target value 0, a heuristic under corruption) to
+    pull the random point toward the measurement-consistent set."""
     rng = np.random.default_rng(derive_seed(inst.seed, "random-heuristic"))
     root = math.sqrt(inst.truth.magnitude)
     dw = rng.standard_normal(inst.d1)
     dx = rng.standard_normal(inst.d2)
-    start = SignalPair(
-        w=root * dw / np.linalg.norm(dw), x=root * dx / np.linalg.norm(dx)
-    )
+    start = SignalPair(w=root * dw / np.linalg.norm(dw), x=root * dx / np.linalg.norm(dx))
     one_step = SolverConfig(max_iters=1, min_value=0.0, stall_window=None)
-    pulled, _ = polyak_subgradient(inst, start, one_step)
-    return pulled
+    return polyak_subgradient(inst, start, one_step)[0]
+
+
+# start name -> its function of the instance; ``spectral`` is the robust pipeline
+STARTS = {"spectral": _spectral_start, "random-heuristic": _random_heuristic_start}
+
+
+def initial_point(inst: ProblemInstance, init: str) -> SignalPair:
+    """Starting point for a solver run from the ``STARTS`` entry ``init``."""
+    return pick(STARTS, init, "init")(inst)
 
 
 def solve_instance(
@@ -324,6 +316,11 @@ KINDS = {
     "qsweep": (("m_ratios", "qs"), run_q_sweep),
     "init": (("m_ratios", "p_fails", "sigmas"), run_init_quality),
 }
+
+
+# ExperimentSpec field -> the table whose keys are its valid names
+CHOICES = {"kind": KINDS, "solver": SOLVER_FUNCTIONS, "init": STARTS, "noise_kind": NOISE_KINDS,
+           "left": LEFT_SIDES}
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Union
 
 import numpy as np
 
@@ -31,9 +30,6 @@ from .linops import (
     HadamardSignOperator,
     MeasurementOperator,
 )
-
-LeftModel = Literal["gaussian", "hadamard"]
-NoiseKind = Literal["gaussian", "implant"]
 
 
 def _clean_vector(v: np.ndarray, what: str) -> np.ndarray:
@@ -135,7 +131,7 @@ class NoiseSpec:
     """
 
     p_fail: float
-    kind: NoiseKind = "gaussian"
+    kind: str = "gaussian"
     sigma: float = 1.0
     implant: SignalPair | None = None
 
@@ -209,27 +205,47 @@ def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / norm
 
 
-def partial_hadamard_left(m: int, d1: int) -> HadamardSignOperator:
-    """Deterministic-left operator with orthogonal columns of norm sqrt(m).
+def pick(table: dict, name: str, what: str):
+    """``table[name]``, or a ValueError that lists the names ``table`` knows."""
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; choose from {', '.join(table)}")
+    return table[name]
 
-    Rows are the first ``d1`` columns of a Hadamard matrix read off row by
-    row: because only the low-order index bits reach those columns, the row
-    patterns repeat with period equal to the block dimension (the largest
-    power of two dividing m), so the operator is exactly the classical
-    partial construction truncated to m rows, for any admissible m.  The
-    construction is fully deterministic; the repeated rows are a genuine
-    property of partial Hadamard measurements, not an artifact.
-    """
-    if m < 1:
-        raise DimensionError(f"m must be positive, got {m}")
+
+def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
+    """Refuse a shape ``generate_instance`` cannot build: a size below 1, an unknown
+    left side, or a Hadamard left side whose m has no power-of-two block >= d1."""
+    if d1 < 1 or d2 < 1 or m < 1:
+        raise DimensionError(f"dimensions must be positive, got d1={d1} d2={d2} m={m}")
+    pick(LEFT_SIDES, left, "left side")
     block = m & (-m)  # largest power-of-two divisor
-    if block < d1:
+    if left == "hadamard" and block < d1:
         raise DimensionError(
             f"m={m} admits Hadamard blocks of dimension at most {block}, "
             f"too small for d1={d1}; choose m with a power-of-two factor >= d1"
         )
+
+
+def partial_hadamard_left(m: int, d1: int) -> HadamardSignOperator:
+    """Deterministic-left operator with orthogonal columns of norm sqrt(m).
+
+    Rows are the first ``d1`` columns of a Hadamard matrix read off row by
+    row.  Only the low-order index bits reach those columns, so the rows
+    repeat with the period of the block dimension (the largest power of two
+    dividing m): the classical partial construction truncated to m rows, for
+    any m that ``check_instance_shape`` admits.
+    """
+    check_instance_shape(d1, 1, m, "hadamard")  # the right side plays no part
+    block = m & (-m)
     signs = np.ones((m // block, block))
     return HadamardSignOperator(sign_diagonals=signs, input_dim=d1)
+
+
+# left side name -> its builder from (rng, m, d1), drawn after the truth
+LEFT_SIDES = {
+    "gaussian": lambda rng, m, d1: DenseOperator(entries=rng.standard_normal((m, d1))),
+    "hadamard": lambda rng, m, d1: partial_hadamard_left(m, d1),
+}
 
 
 def generate_instance(
@@ -237,7 +253,7 @@ def generate_instance(
     d2: int,
     m: int,
     *,
-    left: LeftModel = "gaussian",
+    left: str = "gaussian",
     noise: NoiseSpec | None = None,
     seed: int = 0,
     magnitude: float = 1.0,
@@ -262,8 +278,7 @@ def generate_instance(
         Frobenius norm of the planted rank-one matrix; factors are balanced,
         each with norm ``sqrt(magnitude)``.
     """
-    if d1 < 1 or d2 < 1 or m < 1:
-        raise DimensionError(f"dimensions must be positive, got d1={d1} d2={d2} m={m}")
+    check_instance_shape(d1, d2, m, left)
     if not magnitude > 0.0:
         raise ValueError(f"magnitude must be positive, got {magnitude}")
     if noise is None:
@@ -272,19 +287,9 @@ def generate_instance(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     root = math.sqrt(magnitude)
-    truth = GroundTruth(
-        w_bar=root * _unit_sphere(rng, d1),
-        x_bar=root * _unit_sphere(rng, d2),
-    )
+    truth = GroundTruth(w_bar=root * _unit_sphere(rng, d1), x_bar=root * _unit_sphere(rng, d2))
 
-    if left == "gaussian":
-        left_op: Union[DenseOperator, HadamardSignOperator] = DenseOperator(
-            entries=rng.standard_normal((m, d1))
-        )
-    elif left == "hadamard":
-        left_op = partial_hadamard_left(m, d1)
-    else:
-        raise ValueError(f"unknown left model {left!r}")
+    left_op = LEFT_SIDES[left](rng, m, d1)
     right_op = DenseOperator(entries=rng.standard_normal((m, d2)))
     op = MeasurementOperator(left=left_op, right=right_op)
 
@@ -300,10 +305,7 @@ def generate_instance(
         else:
             pair = noise.implant
             if pair is None:
-                pair = SignalPair(
-                    w=root * _unit_sphere(rng, d1),
-                    x=root * _unit_sphere(rng, d2),
-                )
+                pair = SignalPair(w=root * _unit_sphere(rng, d1), x=root * _unit_sphere(rng, d2))
             if pair.d1 != d1 or pair.d2 != d2:
                 raise DimensionError("implanted pair dimensions do not match the instance")
             y[mask] = op.bilinear_forward(pair.w, pair.x)[mask]

@@ -52,11 +52,15 @@ from test_readme import readme_commands  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 INSTANCES = 6
-# a converge run, whose stdout is the per-cell median summary, and an n2 run
+# a converge run, whose stdout is the per-cell median summary, an n2 run, a
+# random-heuristic start and a Hadamard phase grid over two c
 EXTRA_COMMANDS = [
     "converge --d1 10 --d2 10 --c 4,6 --pfail 0.1 --trials 3 --solver geometric --q 0.95"
     " --iters 300 --seed 2",
     "init --d1 16 --d2 16 --c 8 --pfail 0.1,0.2 --left hadamard --noise n2 --trials 3 --seed 4",
+    "solve --d1 10 --d2 10 --c 8 --pfail 0.2 --solver proxlinear --init random-heuristic --seed 4",
+    "phase --d1 16 --d2 16 --c 4,8 --pfail 0.05,0.1 --left hadamard --trials 2 --solver geometric"
+    " --iters 300 --seed 3",
 ]
 
 

@@ -209,6 +209,22 @@ class TestExitCodes:
         assert "p_fail must lie in [0, 1/2), got 0.6" in err
         assert solves == []
 
+    def test_bad_c_is_refused_before_the_first_trial(self, capsys, monkeypatch):
+        # the c = 4 cell comes first; c = 0 used to fail only after its 2 trials ran
+        solves = []
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve_instance(*args)
+
+        monkeypatch.setattr(experiments, "solve_instance", counting_solve)
+        argv = ["phase", "--d1", "8", "--d2", "8", "--c", "4,0", "--pfail", "0.1", "--trials",
+                "2", "--solver", "geometric", "--iters", "50", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "dimensions must be positive, got d1=8 d2=8 m=0" in err
+        assert solves == []
+
     def test_config_key_the_command_never_reads_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d1=5\nd2=5\nc=4\nseed=3\niters=40\ntrials=7\n", encoding="utf-8")

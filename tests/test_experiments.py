@@ -104,6 +104,14 @@ class TestExperimentSpec:
                          id="negative-sigma"),
             # every cell is judged, not only the first one to run
             pytest.param({"p_fails": (0.1, 0.6)}, "p_fail must lie", id="p_fail-0.6"),
+            # every c is judged by the model's shape rule: m = c(d1 + d2) must be
+            # positive, and a Hadamard left side needs a power-of-two block >= d1
+            pytest.param({"m_ratios": (0,)}, "dimensions must be positive.*m=0", id="c-0"),
+            pytest.param({"m_ratios": (4, -2)}, "dimensions must be positive.*m=-24",
+                         id="c-negative"),
+            pytest.param({"left": "hadamard", "d1": 100, "d2": 100, "m_ratios": (16, 8)},
+                         "m=1600 admits Hadamard blocks of dimension at most 64",
+                         id="hadamard-block"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):
@@ -295,6 +303,12 @@ class TestInitialPoint:
         np.testing.assert_array_equal(a.x, b.x)
         spectral = initial_point(inst, "spectral")
         assert not np.allclose(a.w, spectral.w)
+
+    def test_unknown_start_is_refused(self):
+        # it used to run random-heuristic for any name but "spectral"
+        inst = generate_instance(8, 8, 128, seed=50)
+        with pytest.raises(ValueError, match="unknown init 'zeros'"):
+            initial_point(inst, "zeros")
 
 
 class TestEmitCsv:
