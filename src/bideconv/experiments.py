@@ -101,6 +101,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"the base seed must be non-negative, got {self.base_seed}")
         for name, table in CHOICES.items():
             pick(table, getattr(self, name), name)
         for name in GRID_KEYS:

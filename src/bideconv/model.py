@@ -19,6 +19,7 @@ linearization is a dense matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,8 +214,11 @@ def pick(table: dict, name: str, what: str):
 
 
 def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
-    """Refuse a shape ``generate_instance`` cannot build: a size below 1, an unknown
-    left side, or a Hadamard left side whose m has no power-of-two block >= d1."""
+    """Refuse a shape ``generate_instance`` cannot build: a size that is not an
+    integer or is below 1, an unknown left side, or a Hadamard left side whose
+    m has no power-of-two block >= d1."""
+    if not all(isinstance(size, numbers.Integral) for size in (d1, d2, m)):
+        raise DimensionError(f"dimensions must be integers, got d1={d1} d2={d2} m={m}")
     if d1 < 1 or d2 < 1 or m < 1:
         raise DimensionError(f"dimensions must be positive, got d1={d1} d2={d2} m={m}")
     pick(LEFT_SIDES, left, "left side")

@@ -19,7 +19,10 @@ the loop records every iterate and decides when the run stops.
 
 SciPy is a dependency, but only the prox-linear Newton steps use it, so it is
 loaded on their first Cholesky factorization rather than when the package is
-imported; a subgradient run never loads it.
+imported; a subgradient run never loads it.  Those steps call its LAPACK
+``dpotrf``/``dpotrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve``
+do, without the wrappers' per-call overhead, and their line search evaluates
+only the objective at each trial point.
 """
 
 from __future__ import annotations
@@ -56,14 +59,32 @@ def _scipy_linalg():
 
 # Module globals that ``admm_lad_prox`` looks up at each call, so that a tracer
 # can wrap them by name (the benchmark's does).
-def cho_factor(*args, **kwargs):
-    """``scipy.linalg.cho_factor``; SciPy is imported on the first call."""
-    return _scipy_linalg().cho_factor(*args, **kwargs)
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the symmetric matrix ``a``, by LAPACK ``dpotrf``.
+
+    The LAPACK call that ``scipy.linalg.cho_factor(a)`` makes, so the factor
+    is the one it returns, bit for bit.  Like it, a non-finite or
+    non-positive-definite ``a`` raises (``ValueError``,
+    ``numpy.linalg.LinAlgError``) rather than giving a factor with NaNs.
+    SciPy is imported on the first call.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("the matrix to factor must not contain infs or NaNs")
+    c, info = _scipy_linalg().lapack.dpotrf(a, lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} of the matrix is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf rejected its argument {-info}")
+    return c
 
 
-def cho_solve(*args, **kwargs):
-    """``scipy.linalg.cho_solve``; SciPy is imported on the first call."""
-    return _scipy_linalg().cho_solve(*args, **kwargs)
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from ``c = cho_factor(A)`` by LAPACK ``dpotrs``, as
+    ``scipy.linalg.cho_solve((c, False), b)`` does."""
+    x, info = _scipy_linalg().lapack.dpotrs(c, b, lower=False)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected its argument {-info}")
+    return x
 
 
 # Objective decrease below which the stall counter does not reset.
@@ -331,12 +352,17 @@ def admm_lad_prox(
     are evaluated at z projected onto the balls, which is what it returns.
 
     A is the m x n matrix ``a_mat``, so the solve makes no operator
-    products.  z starts at zero and (u, u2) at ``duals`` (zero when None);
-    the result carries the final multipliers for the next solve.
+    products.  Each Newton system is factored and solved by the direct LAPACK
+    calls ``cho_factor`` and ``cho_solve``.  The Armijo trials evaluate phi's
+    value only; its gradient is formed once per step, at the accepted point.
+    Without a region the ball terms are zero and are not formed.  z starts at
+    zero and (u, u2) at ``duals`` (zero when None); the result carries the
+    final multipliers for the next solve.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     m, n = a_mat.shape
+    tau = 1.0 / m
     clip = region is not None
     center = np.zeros(n) if center is None else center
     u, u2 = (np.zeros(m), np.zeros(n)) if duals is None else duals
@@ -349,25 +375,35 @@ def admm_lad_prox(
         return pair.stacked() + center
 
     def phi(z: np.ndarray, sigma: float):
-        """Value (up to a constant), gradient, clipped residual and ball point."""
+        """Value (up to a constant), clipped residual and w - proj(w), which is
+        None without a region, where the ball terms are zero."""
         t = a_mat @ z - y_tilde
-        cap = np.clip(sigma * t + u, -1.0 / m, 1.0 / m)  # sigma clip(v, +-tau)
+        cap = np.minimum(np.maximum(sigma * t + u, -tau), tau)  # sigma clip(v, +-tau)
+        value = 0.5 * beta * z @ z + cap @ (t + (u - 0.5 * cap) / sigma)
+        if not clip:
+            return value, cap, None
         w = z + u2 / sigma
         out = w - project(w)
-        value = 0.5 * beta * z @ z + cap @ (t + (u - 0.5 * cap) / sigma) + 0.5 * sigma * out @ out
-        return value, beta * z + a_mat.T @ cap + sigma * out, cap, w
+        return value + 0.5 * sigma * out @ out, cap, out
+
+    def gradient(z: np.ndarray, sigma: float, cap: np.ndarray, out: np.ndarray | None):
+        grad = beta * z + a_mat.T @ cap
+        return grad if out is None else grad + sigma * out
 
     z = np.zeros(n)
-    sigma = 1.0 / m
+    sigma = tau
     newton = 0
     converged = False
     for _ in range(_MAX_NEWTON):  # multiplier updates, capped too so no solve can spin
-        value, grad, cap, w = phi(z, sigma)
-        while newton < _MAX_NEWTON and float(np.linalg.norm(grad)) > eps:
-            rows = a_mat[np.abs(cap) < 1.0 / m]
-            hess = sigma * (rows.T @ rows)
-            hess[np.diag_indices(n)] += beta
+        value, cap, out = phi(z, sigma)
+        grad = gradient(z, sigma, cap, out)
+        while newton < _MAX_NEWTON and math.sqrt(grad @ grad) > eps:
+            rows = a_mat[np.abs(cap) < tau]
+            hess = rows.T @ rows
+            hess *= sigma
+            hess.flat[:: n + 1] += beta
             if clip:
+                w = z + u2 / sigma
                 for part in blocks:
                     q = w[part] - center[part]
                     norm = float(np.linalg.norm(q))
@@ -376,7 +412,7 @@ def admm_lad_prox(
                         hess[part, part] += sigma * (
                             (1.0 - ratio) * np.eye(q.size) + ratio / norm**2 * np.outer(q, q)
                         )
-            step = -cho_solve(cho_factor(hess), grad, check_finite=False)
+            step = -cho_solve(cho_factor(hess), grad)
             slope = float(grad @ step)
             alpha = 1.0
             trial = phi(z + step, sigma)
@@ -384,9 +420,10 @@ def admm_lad_prox(
                 alpha *= 0.5
                 trial = phi(z + alpha * step, sigma)
             z = z + alpha * step
-            value, grad, cap, w = trial
+            value, cap, out = trial
+            grad = gradient(z, sigma, cap, out)
             newton += 1
-        u, u2 = cap, sigma * (w - project(w))
+        u, u2 = cap, (sigma * out if clip else np.zeros(n))
         feasible = project(z)
         dual_z = a_mat.T @ u + u2  # -beta times the dual's z
         dual = -u @ y_tilde - dual_z @ dual_z / (2.0 * beta)

@@ -8,7 +8,9 @@ each ``bideconv`` command of the README's "Command line" block, read as
 ``tests/test_readme.py`` reads it and run as written (so these lines do not
 depend on ``--seed``), with ``--out table.csv`` in a temporary directory, and
 hashes its exit code, its stdout and the CSV bytes.  It hashes the commands
-of ``EXTRA_COMMANDS``, which the README block does not cover, the same way.
+of ``EXTRA_COMMANDS``, which the README block does not cover, the same way,
+and last one prox-linear solve confined to a ``FeasibleRegion``, a library
+call that no command makes.
 Two trees print the same lines exactly when all of these agree to the bit,
 so a change meant to leave results alone is checked by running, in each tree,
 
@@ -46,14 +48,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from bideconv import model, solvers, spectral_init  # noqa: E402
+from bideconv import geometry, model, solvers, spectral_init  # noqa: E402
 from bideconv.cli import main as cli_main  # noqa: E402
 from test_readme import readme_commands  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 INSTANCES = 6
 # a converge run, whose stdout is the per-cell median summary, an n2 run, a
-# random-heuristic start and a Hadamard phase grid over two c
+# random-heuristic start, a Hadamard phase grid over two c and a prox-linear
+# solve on a Hadamard left side
 EXTRA_COMMANDS = [
     "converge --d1 10 --d2 10 --c 4,6 --pfail 0.1 --trials 3 --solver geometric --q 0.95"
     " --iters 300 --seed 2",
@@ -61,6 +64,7 @@ EXTRA_COMMANDS = [
     "solve --d1 10 --d2 10 --c 8 --pfail 0.2 --solver proxlinear --init random-heuristic --seed 4",
     "phase --d1 16 --d2 16 --c 4,8 --pfail 0.05,0.1 --left hadamard --trials 2 --solver geometric"
     " --iters 300 --seed 3",
+    "solve --d1 16 --d2 16 --c 8 --pfail 0.1 --left hadamard --solver proxlinear --seed 2",
 ]
 
 
@@ -76,6 +80,24 @@ def digest(name: str, seed: int) -> str:
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         h.update(repr(trace.records).encode())
         h.update(repr(trace.diverged).encode())
+    return h.hexdigest()
+
+
+def region_digest() -> str:
+    """SHA-256 over a prox-linear solve held in a ``FeasibleRegion``: 10 outer
+    steps from a random start, as ``tests/test_solvers.py`` runs it."""
+    inst = model.generate_instance(10, 10, 160, seed=1, magnitude=4.0)
+    rng = np.random.default_rng(0)
+    start = model.SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
+    cfg = solvers.SolverConfig(
+        max_iters=10, region=geometry.FeasibleRegion(radius=1.5), stall_window=None
+    )
+    point, trace = solvers.prox_linear(inst, start, cfg)
+    h = hashlib.sha256()
+    for arr in (point.w, point.x):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(repr(trace.records).encode())
+    h.update(repr(trace.diverged).encode())
     return h.hexdigest()
 
 
@@ -109,6 +131,7 @@ def main(argv: list[str]) -> int:
     for text in EXTRA_COMMANDS:
         command = text.split()
         print(f"extra {command[0]}  {command_digest(command)}")
+    print(f"library prox_linear region  {region_digest()}")
     return 0
 
 

@@ -123,6 +123,7 @@ class TestExitCodes:
             ["phase", "--trials", "0", "--d1", "4", "--d2", "4"],
             ["solve", "--d1", "5,6"],
             ["solve", "--nu", "2"],
+            ["solve", "--d1", "4", "--d2", "4", "--c", "4", "--seed", "-1"],
             # commands that run one cell take one value of each grid they read
             ["solve", *TINY, "--c", "4,8"],
             ["solve", *TINY, "--solver", "geometric", "--pfail", "0.1,0.3"],

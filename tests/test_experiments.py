@@ -112,6 +112,12 @@ class TestExperimentSpec:
             pytest.param({"left": "hadamard", "d1": 100, "d2": 100, "m_ratios": (16, 8)},
                          "m=1600 admits Hadamard blocks of dimension at most 64",
                          id="hadamard-block"),
+            # m & (-m) raised a TypeError on the float m = 2.5 (6 + 6)
+            pytest.param({"m_ratios": (2.5,)}, "dimensions must be integers.*m=30.0",
+                         id="c-not-integer"),
+            # a negative seed failed only in the first trial, in NumPy's seeding
+            pytest.param({"base_seed": -1}, "seed must be non-negative, got -1",
+                         id="negative-seed"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):

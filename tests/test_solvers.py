@@ -378,6 +378,37 @@ class TestAdmm:
         assert binding >= 10
 
 
+class TestNewtonFactor:
+    """The direct LAPACK calls behind each LAD-prox Newton step."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        import scipy.linalg as scipy_linalg
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((40, 12))
+        hess = rows.T @ rows
+        hess.flat[::13] += 0.5
+        b = rng.standard_normal(12)
+        factor = solvers.cho_factor(hess)
+        reference = scipy_linalg.cho_factor(hess)
+        np.testing.assert_array_equal(factor, reference[0])
+        np.testing.assert_array_equal(
+            solvers.cho_solve(factor, b), scipy_linalg.cho_solve(reference, b)
+        )
+
+    @pytest.mark.parametrize(
+        "hess, error",
+        [
+            # LAPACK does not check finiteness, so a NaN step would follow unchecked
+            pytest.param([[1.0, 0.0], [0.0, np.inf]], ValueError, id="inf"),
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], ValueError, id="nan"),
+            pytest.param([[1.0, 2.0], [2.0, 1.0]], np.linalg.LinAlgError, id="indefinite"),
+        ],
+    )
+    def test_refuses_a_matrix_it_cannot_factor(self, hess, error):
+        with pytest.raises(error):
+            solvers.cho_factor(np.array(hess))
+
+
 class TestProxLinear:
     def test_single_outer_matches_grid_oracle(self, monkeypatch):
         monkeypatch.setattr(solvers, "_gap_tolerance", lambda k: 1e-8)
@@ -448,6 +479,39 @@ class TestProxLinear:
         _, trace = prox_linear(inst, SignalPair(w=est.w0, x=est.x0), cfg)
         assert trace.final.relative_error <= 1e-8
         assert not any(trace.column("inner_exhausted"))
+
+    @pytest.mark.parametrize(
+        "region, records, newton, error, value",
+        [
+            # a proxlinear-dense benchmark instance (d = 32, m = 512) from its spectral start
+            pytest.param(None, 10, 325, "0x1.da5c2d6762677p-30", "0x1.aba571606ea1cp-3",
+                         id="unconstrained"),
+            # the balls bind here (see test_region_confines_the_iterate), so the
+            # ball terms of the Newton steps and line search are exercised
+            pytest.param(FeasibleRegion(radius=1.5), 11, 392, "0x1.f2863beb70cf9p-2",
+                         "0x1.ca0228257927ep-1", id="region"),
+        ],
+    )
+    def test_solve_is_pinned_bit_for_bit(self, region, records, newton, error, value):
+        # pinned to the last bit with one BLAS thread, as conftest.py sets, so that a
+        # faster LAD-prox solve is held to the same Newton steps and results
+        if region is None:
+            inst = generate_instance(
+                32, 32, 512, noise=NoiseSpec.gaussian(0.25, sigma=1.0), seed=403
+            )
+            est = spectral_initialize(inst)
+            start = SignalPair(w=est.w0, x=est.x0)
+            cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
+        else:
+            inst = generate_instance(10, 10, 160, seed=1, magnitude=4.0)
+            rng = np.random.default_rng(0)
+            start = SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
+            cfg = SolverConfig(max_iters=10, region=region, stall_window=None)
+        _, trace = prox_linear(inst, start, cfg)
+        assert len(trace.records) == records
+        assert sum(trace.column("inner_iters")) == newton
+        assert trace.final.relative_error == float.fromhex(error)
+        assert trace.final.objective == float.fromhex(value)
 
     def test_repeated_runs_are_bit_identical(self):
         # the warm-started multipliers live inside one call, so nothing carries over
