@@ -134,6 +134,8 @@ def read_config_file(path: str, command: str) -> dict[str, str]:
                 key = key.strip()
                 if key not in _READS[command]:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice")
                 values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -27,6 +27,7 @@ from .model import (
     SignalPair,
     check_instance_shape,
     generate_instance,
+    is_count,
     pick,
 )
 from .solvers import (
@@ -99,8 +100,8 @@ class ExperimentSpec:
     qs: tuple[float, ...] = (0.98,)
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not is_count(self.trials):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.base_seed < 0:
             raise ValueError(f"the base seed must be non-negative, got {self.base_seed}")
         for name, table in CHOICES.items():

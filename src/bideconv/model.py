@@ -213,6 +213,11 @@ def pick(table: dict, name: str, what: str):
     return table[name]
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1; a bool is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
     """Refuse a shape ``generate_instance`` cannot build: a size that is not an
     integer or is below 1, an unknown left side, or a Hadamard left side whose

@@ -21,8 +21,11 @@ SciPy is a dependency, but only the prox-linear Newton steps use it, so it is
 loaded on their first Cholesky factorization rather than when the package is
 imported; a subgradient run never loads it.  Those steps call its LAPACK
 ``dpotrf``/``dpotrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve``
-do, without the wrappers' per-call overhead, and their line search evaluates
-only the objective at each trial point.
+do, without the wrappers' per-call overhead; ``dpotrf`` factors each Newton
+matrix in place, without a copy, and the line search evaluates only the
+objective at each trial point.  Without a region, the duality gap that ends
+each penalty stage reuses the residual and A^T u that the stage's last
+Newton step formed, instead of two more products.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .linops import count_matvecs
 from .model import (
     ProblemInstance,
     SignalPair,
+    is_count,
     linearized_residual_operator,
     objective_and_subgradient,
 )
@@ -62,15 +66,16 @@ def _scipy_linalg():
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of the symmetric matrix ``a``, by LAPACK ``dpotrf``.
 
-    The LAPACK call that ``scipy.linalg.cho_factor(a)`` makes, so the factor
-    is the one it returns, bit for bit.  Like it, a non-finite or
-    non-positive-definite ``a`` raises (``ValueError``,
-    ``numpy.linalg.LinAlgError``) rather than giving a factor with NaNs.
-    SciPy is imported on the first call.
+    The LAPACK call that ``scipy.linalg.cho_factor(a, overwrite_a=True)``
+    makes, so the factor is the one it returns, bit for bit: a
+    Fortran-ordered ``a`` is factored in place, without a copy, and any other
+    is copied first.  Like it, a non-finite or non-positive-definite ``a``
+    raises (``ValueError``, ``numpy.linalg.LinAlgError``) rather than giving a
+    factor with NaNs.  SciPy is imported on the first call.
     """
     if not np.isfinite(a).all():
         raise ValueError("the matrix to factor must not contain infs or NaNs")
-    c, info = _scipy_linalg().lapack.dpotrf(a, lower=False, clean=False)
+    c, info = _scipy_linalg().lapack.dpotrf(a, lower=False, clean=False, overwrite_a=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} of the matrix is not positive definite")
     if info < 0:
@@ -111,14 +116,22 @@ class SolverConfig:
     stall_window: int | None = 50
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not is_count(self.max_iters):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not (self.stall_window is None or is_count(self.stall_window)):
+            raise ValueError(
+                f"stall_window must be None or an integer >= 1, got {self.stall_window!r}"
+            )
         if not 0.0 < self.decay_q < 1.0:
             raise ValueError(f"decay_q must lie in (0, 1), got {self.decay_q}")
-        if not self.lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if not self.prox_beta > 0.0:
-            raise ValueError(f"prox_beta must be positive, got {self.prox_beta}")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
+        if not 0.0 < self.prox_beta < math.inf:
+            raise ValueError(f"prox_beta must be positive and finite, got {self.prox_beta}")
+        if self.min_value is not None and not math.isfinite(self.min_value):
+            raise ValueError(f"min_value must be finite, got {self.min_value}")
+        if not self.tol_rel_err >= 0.0:
+            raise ValueError(f"tol_rel_err must be >= 0, got {self.tol_rel_err}")
 
 
 class TraceRecord(NamedTuple):
@@ -353,11 +366,16 @@ def admm_lad_prox(
 
     A is the m x n matrix ``a_mat``, so the solve makes no operator
     products.  Each Newton system is factored and solved by the direct LAPACK
-    calls ``cho_factor`` and ``cho_solve``.  The Armijo trials evaluate phi's
-    value only; its gradient is formed once per step, at the accepted point.
-    Without a region the ball terms are zero and are not formed.  z starts at
-    zero and (u, u2) at ``duals`` (zero when None); the result carries the
-    final multipliers for the next solve.
+    calls ``cho_factor`` and ``cho_solve``; the Newton matrix is symmetric to
+    the bit, so it reaches ``dpotrf`` as its Fortran-ordered transpose and is
+    factored in place, uncopied.  The Armijo trials evaluate phi's value only,
+    and the accepted trial point becomes z; phi's gradient is formed once per
+    step, at that point.  Without a region the ball terms are zero and are not
+    formed, and the gap reuses the residual Az - y~ of the last phi and the
+    A^T u of the last gradient, both at the returned z; with a region it
+    recomputes both at the projected z.  z starts at zero and (u, u2) at
+    ``duals`` (zero when None); the result carries the final multipliers for
+    the next solve.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -369,39 +387,51 @@ def admm_lad_prox(
     blocks = (slice(0, d1), slice(d1, n))
 
     def project(w: np.ndarray) -> np.ndarray:
-        if not clip:
-            return w
         pair = project_feasible(SignalPair.from_stacked(w - center, d1), region)
         return pair.stacked() + center
 
     def phi(z: np.ndarray, sigma: float):
-        """Value (up to a constant), clipped residual and w - proj(w), which is
-        None without a region, where the ball terms are zero."""
-        t = a_mat @ z - y_tilde
-        cap = np.minimum(np.maximum(sigma * t + u, -tau), tau)  # sigma clip(v, +-tau)
-        value = 0.5 * beta * z @ z + cap @ (t + (u - 0.5 * cap) / sigma)
+        """Value (up to a constant), residual Az - y~, clipped residual and
+        w - proj(w), which is None without a region, where the ball terms are
+        zero."""
+        t = a_mat @ z
+        t -= y_tilde
+        cap = sigma * t
+        cap += u
+        np.maximum(cap, -tau, out=cap)
+        np.minimum(cap, tau, out=cap)  # sigma clip(v, +-tau)
+        s = 0.5 * cap
+        np.subtract(u, s, out=s)
+        s /= sigma
+        s += t  # t + (u - cap/2)/sigma
+        value = 0.5 * beta * z @ z + cap @ s
         if not clip:
-            return value, cap, None
+            return value, t, cap, None
         w = z + u2 / sigma
         out = w - project(w)
-        return value + 0.5 * sigma * out @ out, cap, out
+        return value + 0.5 * sigma * out @ out, t, cap, out
 
     def gradient(z: np.ndarray, sigma: float, cap: np.ndarray, out: np.ndarray | None):
-        grad = beta * z + a_mat.T @ cap
-        return grad if out is None else grad + sigma * out
+        """grad phi and its term A^T cap."""
+        atc = a_mat.T @ cap
+        grad = beta * z
+        grad += atc
+        if out is not None:
+            grad += sigma * out
+        return grad, atc
 
     z = np.zeros(n)
     sigma = tau
     newton = 0
     converged = False
     for _ in range(_MAX_NEWTON):  # multiplier updates, capped too so no solve can spin
-        value, cap, out = phi(z, sigma)
-        grad = gradient(z, sigma, cap, out)
+        value, t, cap, out = phi(z, sigma)
+        grad, atc = gradient(z, sigma, cap, out)
         while newton < _MAX_NEWTON and math.sqrt(grad @ grad) > eps:
-            rows = a_mat[np.abs(cap) < tau]
+            rows = np.compress(np.abs(cap) < tau, a_mat, axis=0)
             hess = rows.T @ rows
             hess *= sigma
-            hess.flat[:: n + 1] += beta
+            hess.reshape(-1)[:: n + 1] += beta
             if clip:
                 w = z + u2 / sigma
                 for part in blocks:
@@ -412,27 +442,37 @@ def admm_lad_prox(
                         hess[part, part] += sigma * (
                             (1.0 - ratio) * np.eye(q.size) + ratio / norm**2 * np.outer(q, q)
                         )
-            step = -cho_solve(cho_factor(hess), grad)
+            # hess is symmetric to the bit (syrk fills one triangle from the
+            # other; the ball terms are symmetric), so hess.T is the same
+            # matrix in Fortran order, which dpotrf factors in place
+            step = cho_solve(cho_factor(hess.T), grad)
+            np.negative(step, out=step)
             slope = float(grad @ step)
             alpha = 1.0
-            trial = phi(z + step, sigma)
+            trial_z = z + step
+            trial = phi(trial_z, sigma)
             while trial[0] > value + 1e-4 * alpha * slope and alpha > 1e-12:  # Armijo
                 alpha *= 0.5
-                trial = phi(z + alpha * step, sigma)
-            z = z + alpha * step
-            value, cap, out = trial
-            grad = gradient(z, sigma, cap, out)
+                trial_z = z + alpha * step
+                trial = phi(trial_z, sigma)
+            z = trial_z
+            value, t, cap, out = trial
+            grad, atc = gradient(z, sigma, cap, out)
             newton += 1
-        u, u2 = cap, (sigma * out if clip else np.zeros(n))
-        feasible = project(z)
-        dual_z = a_mat.T @ u + u2  # -beta times the dual's z
+        u = cap
+        if clip:
+            u2 = sigma * out
+            feasible = project(z)
+            residual = a_mat @ feasible - y_tilde
+            dual_z = a_mat.T @ u + u2  # -beta times the dual's z
+        else:  # u2 is zero and z feasible: the last phi and gradient formed both
+            feasible, residual, dual_z = z, t, atc
         dual = -u @ y_tilde - dual_z @ dual_z / (2.0 * beta)
         if clip:
             dual -= sum(
                 region.radius * np.linalg.norm(u2[part]) + center[part] @ u2[part]
                 for part in blocks
             )
-        residual = a_mat @ feasible - y_tilde
         objective = float(0.5 * beta * feasible @ feasible + np.abs(residual).mean())
         # weak duality makes the gap nonnegative; clamp what rounding leaves below
         gap = max(objective - float(dual), 0.0)
@@ -448,7 +488,7 @@ def admm_lad_prox(
         exhausted=not converged,
         objective=objective,
         gap=gap,
-        duals=(u, u2),
+        duals=(u, u2 if clip else np.zeros(n)),
     )
 
 

@@ -125,13 +125,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, required=True, help="benchmark run seed")
     args = parser.parse_args(argv)
     for name in WORKLOADS:
-        print(f"{name}  seed {args.seed}  {digest(name, args.seed)}")
+        print(f"{name}  seed {args.seed}  {digest(name, args.seed)}", flush=True)
     for command in readme_commands():
-        print(f"readme {command[0]}  {command_digest(command)}")
+        print(f"readme {command[0]}  {command_digest(command)}", flush=True)
     for text in EXTRA_COMMANDS:
         command = text.split()
-        print(f"extra {command[0]}  {command_digest(command)}")
-    print(f"library prox_linear region  {region_digest()}")
+        print(f"extra {command[0]}  {command_digest(command)}", flush=True)
+    print(f"library prox_linear region  {region_digest()}", flush=True)
     return 0
 
 

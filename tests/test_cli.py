@@ -104,6 +104,14 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in err
 
+    def test_repeated_key_rejected(self, capsys, tmp_path):
+        # the later value used to win silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d1=4\nd2=4\nc=4\nd1=5\n", encoding="utf-8")
+        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert f"{cfg}:4: key 'd1' is given twice" in err
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["solve", "--config", str(tmp_path / "absent.cfg")]
@@ -139,6 +147,12 @@ class TestExitCodes:
             ["phase", *TINY, "--q", "0.5,0.95"],
             ["init", *TINY, "--q", "0.5,0.95"],
             ["rip-probe", *TINY, "--q", "0.5,0.95"],
+            # an infinite step exited 1 as a diverged run, and an infinite
+            # weight exited 0 after every LAD-prox solve ended with a NaN gap
+            ["solve", "--d1", "4", "--d2", "4", "--c", "4", "--solver", "geometric",
+             "--lambda", "inf", "--iters", "3"],
+            ["solve", "--d1", "4", "--d2", "4", "--c", "4", "--solver", "proxlinear",
+             "--beta", "inf"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):

@@ -118,6 +118,12 @@ class TestExperimentSpec:
             # a negative seed failed only in the first trial, in NumPy's seeding
             pytest.param({"base_seed": -1}, "seed must be non-negative, got -1",
                          id="negative-seed"),
+            # a float count raised a TypeError naming no setting in the first
+            # trial, and True ran one trial
+            pytest.param({"trials": 2.5}, "trials must be an integer >= 1, got 2.5",
+                         id="trials-not-integer"),
+            pytest.param({"trials": True}, "trials must be an integer >= 1, got True",
+                         id="trials-bool"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):

@@ -395,6 +395,20 @@ class TestNewtonFactor:
             solvers.cho_solve(factor, b), scipy_linalg.cho_solve(reference, b)
         )
 
+    def test_factors_a_fortran_ordered_matrix_in_place(self):
+        # the Newton matrix reaches dpotrf as hess.T, Fortran-ordered, so that
+        # no copy is made; a C-ordered matrix is copied and left as it was
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((40, 12))
+        hess = rows.T @ rows
+        kept = hess.copy()
+        expected = solvers.cho_factor(hess)
+        np.testing.assert_array_equal(hess, kept)
+        fortran = np.asfortranarray(hess)
+        factor = solvers.cho_factor(fortran)
+        assert np.shares_memory(factor, fortran)
+        np.testing.assert_array_equal(factor, expected)
+
     @pytest.mark.parametrize(
         "hess, error",
         [
@@ -512,6 +526,40 @@ class TestProxLinear:
         assert sum(trace.column("inner_iters")) == newton
         assert trace.final.relative_error == float.fromhex(error)
         assert trace.final.objective == float.fromhex(value)
+
+    @pytest.mark.parametrize("region", [None, FeasibleRegion(radius=1.5)],
+                             ids=["unconstrained", "region"])
+    def test_certificate_matches_a_recomputation_bit_for_bit(self, region):
+        # without a region the solver takes the residual and A^T u of the gap
+        # from its last Newton step; they must be the products of the returned
+        # z and duals, to the bit, as the region path recomputes them
+        if region is None:
+            inst = generate_instance(
+                32, 32, 512, noise=NoiseSpec.gaussian(0.25, sigma=1.0), seed=403
+            )
+            est = spectral_initialize(inst)
+            start = SignalPair(w=est.w0, x=est.x0)
+        else:
+            inst = generate_instance(10, 10, 160, seed=1, magnitude=4.0)
+            rng = np.random.default_rng(0)
+            start = SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
+        beta = SolverConfig().prox_beta
+        a_mat, y_tilde = linearized_residual_operator(inst, start)
+        center = -np.concatenate([start.w, start.x])
+        result = admm_lad_prox(a_mat, inst.d1, y_tilde, beta, region=region,
+                               eps=solvers._gap_tolerance(1), center=center)
+        assert result.iterations > 0 and not result.exhausted
+        z, (u, u2) = result.z, result.duals
+        objective = float(0.5 * beta * z @ z + np.abs(a_mat @ z - y_tilde).mean())
+        dual_z = a_mat.T @ u + u2
+        dual = -u @ y_tilde - dual_z @ dual_z / (2.0 * beta)
+        if region is not None:
+            dual -= sum(
+                region.radius * np.linalg.norm(u2[part]) + center[part] @ u2[part]
+                for part in (slice(0, inst.d1), slice(inst.d1, None))
+            )
+        assert result.objective == objective
+        assert result.gap == max(objective - float(dual), 0.0)
 
     def test_repeated_runs_are_bit_identical(self):
         # the warm-started multipliers live inside one call, so nothing carries over
@@ -659,6 +707,21 @@ class TestConfigAndTrace:
             {"decay_q": 1.0},
             {"lambda0": 0.0},
             {"prox_beta": -1.0},
+            # a float or bool count failed mid-run or was read as 0/1
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"stall_window": 5.0},
+            {"stall_window": True},
+            # a window of 0 stopped every run after iteration 1
+            {"stall_window": 0},
+            # an infinite step or weight ran to a diverged run or a NaN gap
+            {"lambda0": math.inf},
+            {"lambda0": math.nan},
+            {"prox_beta": math.inf},
+            {"min_value": math.nan},
+            {"min_value": -math.inf},
+            {"tol_rel_err": -1e-8},
+            {"tol_rel_err": math.nan},
         ],
     )
     def test_solver_config_validation(self, kwargs):
