@@ -220,12 +220,13 @@ def is_count(value) -> bool:
 
 def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
     """Refuse a shape ``generate_instance`` cannot build: a size that is not an
-    integer or is below 1, an unknown left side, or a Hadamard left side whose
-    m has no power-of-two block >= d1."""
-    if not all(isinstance(size, numbers.Integral) for size in (d1, d2, m)):
-        raise DimensionError(f"dimensions must be integers, got d1={d1} d2={d2} m={m}")
-    if d1 < 1 or d2 < 1 or m < 1:
-        raise DimensionError(f"dimensions must be positive, got d1={d1} d2={d2} m={m}")
+    integer (a bool is none) or is below 1, an unknown left side, or a
+    Hadamard left side whose m has no power-of-two block >= d1."""
+    sizes = (d1, d2, m)
+    if not all(is_count(size) for size in sizes):
+        whole = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sizes)
+        rule = "positive" if whole else "integers"
+        raise DimensionError(f"dimensions must be {rule}, got d1={d1} d2={d2} m={m}")
     pick(LEFT_SIDES, left, "left side")
     block = m & (-m)  # largest power-of-two divisor
     if left == "hadamard" and block < d1:

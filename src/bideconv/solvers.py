@@ -11,7 +11,7 @@ linearly off the solution set) and weakly convex, so
   least-absolute-deviation subproblem per iteration, which we do with a
   semismooth Newton augmented Lagrangian method on the linearized map as a
   matrix.  Each solve returns its duality gap, a certified bound on its
-  suboptimality, and hands its multipliers on to the next solve.
+  suboptimality, and hands its multipliers and penalty on to the next solve.
 
 They also share one run loop, ``_run``: each solver only generates its
 iterates (the two subgradient methods differ only in their step rule), and
@@ -22,10 +22,14 @@ loaded on their first Cholesky factorization rather than when the package is
 imported; a subgradient run never loads it.  Those steps call its LAPACK
 ``dpotrf``/``dpotrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve``
 do, without the wrappers' per-call overhead; ``dpotrf`` factors each Newton
-matrix in place, without a copy, and the line search evaluates only the
-objective at each trial point.  Without a region, the duality gap that ends
-each penalty stage reuses the residual and A^T u that the stage's last
-Newton step formed, instead of two more products.
+matrix in place, without a copy.  Each Newton step makes one product with
+the linearized map, for the direction; the line search's trial residuals
+follow from it by linearity and their objective values need no product.
+Each penalty stage ends on one fresh residual, which certifies the duality
+gap and starts the next stage.  Successive solves of one prox-linear run
+share their penalty as well as their multipliers: a solve starts at the
+geometric mean of the cold start 1/m and the penalty the previous solve
+ended on, and grows it 3x per stage.
 """
 
 from __future__ import annotations
@@ -310,6 +314,7 @@ class LadProxResult(NamedTuple):
     objective: float  # P(z)
     gap: float  # P(z) - D(duals) >= 0, a bound on P(z) - min P
     duals: tuple[np.ndarray, np.ndarray]  # (u, u2), a warm start for a nearby subproblem
+    sigma: float  # the penalty the solve ended on
 
 
 def _gap_tolerance(k: int) -> float:
@@ -323,9 +328,9 @@ def _gap_tolerance(k: int) -> float:
     return 1e-3 * 4.0**-k
 
 
-# Augmented-Lagrangian penalty growth per multiplier update; each solve
+# Augmented-Lagrangian penalty growth per multiplier update; a cold solve
 # starts the penalty at 1/m, the scale of the 1/m objective weight.
-_SIGMA_GROWTH = 5.0
+_SIGMA_GROWTH = 3.0
 # Newton steps one LAD-prox solve may take before it reports exhaustion.
 _MAX_NEWTON = 200
 
@@ -339,6 +344,7 @@ def admm_lad_prox(
     eps: float = 1e-8,
     center: np.ndarray | None = None,
     duals: tuple[np.ndarray, np.ndarray] | None = None,
+    sigma: float | None = None,
 ) -> LadProxResult:
     """Semismooth Newton augmented Lagrangian (SSNAL; Li, Sun & Toh, SIAM J.
     Optim. 2018) for min P(z) = (beta/2)||z||^2 + (1/m)||Az - y~||_1.
@@ -355,8 +361,8 @@ def admm_lad_prox(
     by Newton steps on beta I + sigma A_J^T A_J (+ sigma times the generalized
     Jacobian of w - proj(w)), J = {|v_i| < 1/(m sigma)}, with Armijo
     backtracking, until ||grad phi|| <= eps; then u = sigma clip(v, +-1/(m
-    sigma)), u2 = sigma (w - proj(w)) and sigma grows.  Each update keeps
-    (u, u2) dual feasible, so the gap P(z) - D(u, u2), with
+    sigma)), u2 = sigma (w - proj(w)) and sigma grows by ``_SIGMA_GROWTH``.
+    Each update keeps (u, u2) dual feasible, so the gap P(z) - D(u, u2), with
 
         D = -<u, y~> - ||A^T u + u2||^2/(2 beta) - sum_b (r||u2_b|| + <c_b, u2_b>),
 
@@ -368,19 +374,29 @@ def admm_lad_prox(
     products.  Each Newton system is factored and solved by the direct LAPACK
     calls ``cho_factor`` and ``cho_solve``; the Newton matrix is symmetric to
     the bit, so it reaches ``dpotrf`` as its Fortran-ordered transpose and is
-    factored in place, uncopied.  The Armijo trials evaluate phi's value only,
-    and the accepted trial point becomes z; phi's gradient is formed once per
-    step, at that point.  Without a region the ball terms are zero and are not
-    formed, and the gap reuses the residual Az - y~ of the last phi and the
-    A^T u of the last gradient, both at the returned z; with a region it
-    recomputes both at the projected z.  z starts at zero and (u, u2) at
-    ``duals`` (zero when None); the result carries the final multipliers for
-    the next solve.
+    factored in place, uncopied.  Each Newton step forms A step once, and the
+    Armijo trials take their residuals by linearity, t + alpha A step, so a
+    trial makes no product; they evaluate phi's value only, and phi's
+    gradient is formed once per step, at the accepted point.  Each penalty
+    stage ends on a fresh residual Az - y~, which starts the next stage and,
+    without a region, gives the gap's P, so the certificate never rests on
+    the residual the trials accumulated.  Without
+    a region the ball terms are zero and are not formed, and the gap takes
+    A^T u from the last gradient; with a region the gap recomputes the
+    residual and A^T u + u2 at the projected z.
+
+    z starts at zero, (u, u2) at ``duals`` (zero when None) and the penalty
+    at ``sigma`` (1/m when None); the result carries the final multipliers
+    and penalty for the next solve.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     m, n = a_mat.shape
     tau = 1.0 / m
+    if sigma is None:
+        sigma = tau
+    elif not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     clip = region is not None
     center = np.zeros(n) if center is None else center
     u, u2 = (np.zeros(m), np.zeros(n)) if duals is None else duals
@@ -390,12 +406,10 @@ def admm_lad_prox(
         pair = project_feasible(SignalPair.from_stacked(w - center, d1), region)
         return pair.stacked() + center
 
-    def phi(z: np.ndarray, sigma: float):
-        """Value (up to a constant), residual Az - y~, clipped residual and
-        w - proj(w), which is None without a region, where the ball terms are
-        zero."""
-        t = a_mat @ z
-        t -= y_tilde
+    def phi(z: np.ndarray, t: np.ndarray, sigma: float):
+        """Value (up to a constant) from z and its residual t = Az - y~, the
+        clipped residual and w - proj(w), which is None without a region,
+        where the ball terms are zero."""
         cap = sigma * t
         cap += u
         np.maximum(cap, -tau, out=cap)
@@ -406,10 +420,10 @@ def admm_lad_prox(
         s += t  # t + (u - cap/2)/sigma
         value = 0.5 * beta * z @ z + cap @ s
         if not clip:
-            return value, t, cap, None
+            return value, cap, None
         w = z + u2 / sigma
         out = w - project(w)
-        return value + 0.5 * sigma * out @ out, t, cap, out
+        return value + 0.5 * sigma * out @ out, cap, out
 
     def gradient(z: np.ndarray, sigma: float, cap: np.ndarray, out: np.ndarray | None):
         """grad phi and its term A^T cap."""
@@ -421,11 +435,11 @@ def admm_lad_prox(
         return grad, atc
 
     z = np.zeros(n)
-    sigma = tau
+    t = -y_tilde  # the residual at z = 0
     newton = 0
     converged = False
     for _ in range(_MAX_NEWTON):  # multiplier updates, capped too so no solve can spin
-        value, t, cap, out = phi(z, sigma)
+        value, cap, out = phi(z, t, sigma)
         grad, atc = gradient(z, sigma, cap, out)
         while newton < _MAX_NEWTON and math.sqrt(grad @ grad) > eps:
             rows = np.compress(np.abs(cap) < tau, a_mat, axis=0)
@@ -448,24 +462,27 @@ def admm_lad_prox(
             step = cho_solve(cho_factor(hess.T), grad)
             np.negative(step, out=step)
             slope = float(grad @ step)
+            a_step = a_mat @ step
             alpha = 1.0
-            trial_z = z + step
-            trial = phi(trial_z, sigma)
+            trial_z, trial_t = z + step, t + a_step
+            trial = phi(trial_z, trial_t, sigma)
             while trial[0] > value + 1e-4 * alpha * slope and alpha > 1e-12:  # Armijo
                 alpha *= 0.5
-                trial_z = z + alpha * step
-                trial = phi(trial_z, sigma)
-            z = trial_z
-            value, t, cap, out = trial
+                trial_z, trial_t = z + alpha * step, t + alpha * a_step
+                trial = phi(trial_z, trial_t, sigma)
+            z, t = trial_z, trial_t
+            value, cap, out = trial
             grad, atc = gradient(z, sigma, cap, out)
             newton += 1
         u = cap
+        t = a_mat @ z  # fresh: the trials built t up by accumulation
+        t -= y_tilde
         if clip:
             u2 = sigma * out
             feasible = project(z)
             residual = a_mat @ feasible - y_tilde
             dual_z = a_mat.T @ u + u2  # -beta times the dual's z
-        else:  # u2 is zero and z feasible: the last phi and gradient formed both
+        else:  # u2 is zero and z feasible; the last gradient formed A^T u
             feasible, residual, dual_z = z, t, atc
         dual = -u @ y_tilde - dual_z @ dual_z / (2.0 * beta)
         if clip:
@@ -489,13 +506,14 @@ def admm_lad_prox(
         objective=objective,
         gap=gap,
         duals=(u, u2 if clip else np.zeros(n)),
+        sigma=sigma,
     )
 
 
 def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPair) -> Iterates:
     a_mat, y_tilde = linearized_residual_operator(inst, p)
     yield p, float(np.abs(y_tilde).mean()), 0.0, {}
-    duals = None
+    duals = sigma = None
     for k in itertools.count(1):
         result = admm_lad_prox(
             a_mat,
@@ -506,8 +524,12 @@ def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPai
             eps=_gap_tolerance(k),
             center=-np.concatenate([p.w, p.x]),
             duals=duals,
+            sigma=sigma,
         )
-        duals = result.duals
+        # the next solve starts at the geometric mean of the cold start 1/m
+        # and this solve's final penalty: the penalty a run needs peaks
+        # mid-run and then falls, so starting at the peak overshoots
+        duals, sigma = result.duals, math.sqrt(result.sigma / inst.m)
         step = float(np.linalg.norm(result.z))
         inner = {
             "inner_iters": result.iterations,
@@ -535,6 +557,8 @@ def prox_linear(
     stays in the region.  Each inner solve starts from the previous one's
     final multipliers (zero for the first): successive linearizations share
     most of the LAD subgradient's sign pattern, which the multipliers carry.
+    Its penalty starts at sqrt(sigma / m), with sigma the penalty on which
+    the previous solve ended (1/m for the first).
     The trace records each solve's Newton steps, gap and exhaustion.
     """
     return _run(inst, start, cfg, functools.partial(_prox_linear_iterates, inst, cfg))

@@ -124,6 +124,9 @@ class TestExperimentSpec:
                          id="trials-not-integer"),
             pytest.param({"trials": True}, "trials must be an integer >= 1, got True",
                          id="trials-bool"),
+            # a bool size raised a TypeError naming no setting in the first trial
+            pytest.param({"d1": True}, "dimensions must be integers, got d1=True",
+                         id="d1-bool"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):
@@ -382,7 +385,7 @@ class TestTableBytes:
                 dict(kind="convergence", m_ratios=(4, 6), p_fails=(0.1,), trials=2,
                      solver="proxlinear", init="random-heuristic",
                      solver_config=SolverConfig(max_iters=3)),
-                "8275272052148ce237a891227665a443c3bdc4941b39fe0b40b2569fcd103dcc",
+                "bb912ec98ad191a2dd5bceaea4658a475888df45c1801bb10b30efa16e5174fa",
                 id="convergence",
             ),
             pytest.param(

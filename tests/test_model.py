@@ -126,6 +126,14 @@ class TestGeneration:
         with pytest.raises(DimensionError):
             generate_instance(0, 4, 8)
 
+    @pytest.mark.parametrize("sizes, named", [((True, 4, 16), "d1=True"),
+                                              ((4, True, 16), "d2=True"),
+                                              ((4, 4, True), "m=True")])
+    def test_rejects_a_bool_size(self, sizes, named):
+        # a bool is an integer to Python, and reached NumPy's sampler as one
+        with pytest.raises(DimensionError, match=named):
+            generate_instance(*sizes)
+
     @pytest.mark.parametrize("m", [16, 24])
     def test_hadamard_left_is_seed_independent(self, m):
         a = generate_instance(4, 4, m, left="hadamard", seed=0)

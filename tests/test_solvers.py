@@ -250,11 +250,13 @@ class TestAdmm:
 
     def test_one_dimensional_kink_solution(self):
         # two identical rows pulling toward 1 with a unit quadratic: the
-        # minimizer sits exactly on the kink at z = 1
+        # minimizer sits exactly on the kink at z = 1.  Left of it P - P* =
+        # delta^2/2 at z = 1 - delta, so a gap of eps certifies only
+        # delta <= sqrt(2 eps): 5e-13 is the largest eps that certifies 1e-6
         m = 2
         a_mat = np.column_stack([np.ones(m), np.zeros(m)])
         y_tilde = np.ones(m)
-        result = admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=1e-10)
+        result = admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=5e-13)
         assert result.z[0] == pytest.approx(1.0, abs=1e-6)
         assert result.z[1] == pytest.approx(0.0, abs=1e-8)
         oracle = grid_lad_prox_1d(np.ones((m, 1)), y_tilde, 1.0, -3.0, 3.0)
@@ -317,49 +319,57 @@ class TestAdmm:
         with pytest.raises(ValueError, match="eps"):
             admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, eps=0.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_penalty(self, sigma):
+        a_mat, y_tilde = column_instance(26)
+        with pytest.raises(ValueError, match="sigma"):
+            admm_lad_prox(a_mat, 1, y_tilde, beta=1.0, sigma=sigma)
+
     def test_gap_bounds_the_suboptimality(self):
         # 0 <= P(z) - P(z_opt) <= gap, with z_opt enumerated exactly; the
-        # odd problems have one variable, their first weight column being zero
-        rng = np.random.default_rng(50)
+        # odd problems have one variable, their first weight column being zero.
+        # Each problem is solved cold and warm-started as a prox-linear run
+        # starts its later solves: from a nearby problem's multipliers, at a
+        # penalty up to the peak sigma m ~ 2e6 that such runs reach
+        rng, nearby_rng = np.random.default_rng(50), np.random.default_rng(51)
         for i in range(40):
             a_dense, y_tilde = column_instance(500 + i, m=5 + i % 4)
+            m = y_tilde.size
             if i % 2:
                 a_dense[:, 1] = 0.0
             beta = float(rng.uniform(0.4, 2.5))
             eps = float(10.0 ** rng.uniform(-9, -2))
-            result = admm_lad_prox(a_dense, 1, y_tilde, beta=beta, eps=eps)
             if i % 2:
                 z_opt = np.array([exact_lad_prox_1d(a_dense[:, :1], y_tilde, beta), 0.0])
             else:
                 z_opt = exact_lad_prox_2d(a_dense, y_tilde, beta)
-            value = lad_prox_objective(a_dense, y_tilde, beta, result.z)[0]
-            excess = value - lad_prox_objective(a_dense, y_tilde, beta, z_opt)[0]
-            assert not result.exhausted
-            assert 0.0 <= result.gap <= eps
-            assert result.objective == pytest.approx(value, rel=1e-12)
-            assert -1e-13 <= excess <= result.gap + 1e-13
+            best = lad_prox_objective(a_dense, y_tilde, beta, z_opt)[0]
+            nearby = admm_lad_prox(
+                a_dense, 1, y_tilde + 0.1 * nearby_rng.standard_normal(m), beta=beta, eps=eps
+            )
+            for warm in ({}, *({"duals": nearby.duals, "sigma": s / m} for s in (1e3, 2e6))):
+                result = admm_lad_prox(a_dense, 1, y_tilde, beta=beta, eps=eps, **warm)
+                value = lad_prox_objective(a_dense, y_tilde, beta, result.z)[0]
+                assert not result.exhausted
+                assert 0.0 <= result.gap <= eps
+                assert result.objective == pytest.approx(value, rel=1e-12)
+                assert -1e-13 <= value - best <= result.gap + 1e-13
 
     def test_gap_bounds_the_suboptimality_in_a_region(self):
         # with one variable per factor the two balls are the box c +- r; its
         # exact minimizer is enumerated and cross-checked by a grid scan
-        rng = np.random.default_rng(60)
+        # (cold, and warm-started as in test_gap_bounds_the_suboptimality)
+        rng, nearby_rng = np.random.default_rng(60), np.random.default_rng(61)
         radius, beta = 0.3, 0.5
+        region = FeasibleRegion(radius=radius)
         offsets = np.linspace(-radius, radius, 201)
         binding = 0
         for seed in range(20):
             a_dense, y_tilde = column_instance(600 + seed)
             y_tilde = 3.0 * y_tilde
+            m = y_tilde.size
             center = 0.2 * rng.standard_normal(2) if seed % 2 else np.zeros(2)
             eps = float(10.0 ** rng.uniform(-9, -2))
-            result = admm_lad_prox(
-                a_dense,
-                1,
-                y_tilde,
-                beta=beta,
-                region=FeasibleRegion(radius=radius),
-                eps=eps,
-                center=center,
-            )
             z_opt = exact_lad_prox_box(a_dense, y_tilde, beta, center - radius, center + radius)
             best = lad_prox_objective(a_dense, y_tilde, beta, z_opt)[0]
             box = center + np.stack(np.meshgrid(offsets, offsets, indexing="ij"), -1).reshape(-1, 2)
@@ -368,11 +378,19 @@ class TestAdmm:
             # moves by at most its Lipschitz constant times the spacing
             lipschitz = beta * math.sqrt(2.0) * np.abs(box).max() + np.abs(a_dense).sum(0).max()
             assert grid_best - lipschitz * (offsets[1] - offsets[0]) <= best <= grid_best + 1e-12
-            value = lad_prox_objective(a_dense, y_tilde, beta, result.z)[0]
-            assert not result.exhausted
-            assert np.max(np.abs(result.z - center)) <= radius + 1e-12
-            assert 0.0 <= result.gap <= eps
-            assert -1e-13 <= value - best <= result.gap + 1e-13
+            nearby = admm_lad_prox(
+                a_dense, 1, y_tilde + 0.3 * nearby_rng.standard_normal(m), beta=beta,
+                region=region, eps=eps, center=center,
+            )
+            for warm in ({}, *({"duals": nearby.duals, "sigma": s / m} for s in (1e3, 2e6))):
+                result = admm_lad_prox(
+                    a_dense, 1, y_tilde, beta=beta, region=region, eps=eps, center=center, **warm
+                )
+                value = lad_prox_objective(a_dense, y_tilde, beta, result.z)[0]
+                assert not result.exhausted
+                assert np.max(np.abs(result.z - center)) <= radius + 1e-12
+                assert 0.0 <= result.gap <= eps
+                assert -1e-13 <= value - best <= result.gap + 1e-13
             free = exact_lad_prox_2d(a_dense, y_tilde, beta)
             binding += np.max(np.abs(free - center)) > radius
         assert binding >= 10
@@ -498,12 +516,12 @@ class TestProxLinear:
         "region, records, newton, error, value",
         [
             # a proxlinear-dense benchmark instance (d = 32, m = 512) from its spectral start
-            pytest.param(None, 10, 325, "0x1.da5c2d6762677p-30", "0x1.aba571606ea1cp-3",
+            pytest.param(None, 10, 263, "0x1.a02e9bc458519p-31", "0x1.aba571560bed6p-3",
                          id="unconstrained"),
             # the balls bind here (see test_region_confines_the_iterate), so the
             # ball terms of the Newton steps and line search are exercised
-            pytest.param(FeasibleRegion(radius=1.5), 11, 392, "0x1.f2863beb70cf9p-2",
-                         "0x1.ca0228257927ep-1", id="region"),
+            pytest.param(FeasibleRegion(radius=1.5), 11, 355, "0x1.f288c33501b5ap-2",
+                         "0x1.ca02ca28a7bb8p-1", id="region"),
         ],
     )
     def test_solve_is_pinned_bit_for_bit(self, region, records, newton, error, value):
@@ -561,6 +579,20 @@ class TestProxLinear:
         assert result.objective == objective
         assert result.gap == max(objective - float(dual), 0.0)
 
+    def test_certificate_rests_on_a_fresh_residual(self):
+        # the line search builds its trial residuals up as t + alpha A step,
+        # which drifts from Az - y~ at rounding level; P(z) must be computed
+        # from the product itself (at eps 1e-8 the built-up residual gave a
+        # P one ulp above it)
+        inst = generate_instance(32, 32, 512, noise=NoiseSpec.gaussian(0.25, sigma=1.0), seed=403)
+        est = spectral_initialize(inst)
+        a_mat, y_tilde = linearized_residual_operator(inst, SignalPair(w=est.w0, x=est.x0))
+        for eps in (1e-6, 1e-8, 1e-10):
+            result = admm_lad_prox(a_mat, inst.d1, y_tilde, 1.0, eps=eps)
+            assert not result.exhausted
+            z = result.z
+            assert result.objective == float(0.5 * z @ z + np.abs(a_mat @ z - y_tilde).mean())
+
     def test_repeated_runs_are_bit_identical(self):
         # the warm-started multipliers live inside one call, so nothing carries over
         inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=39)
@@ -571,6 +603,53 @@ class TestProxLinear:
         np.testing.assert_array_equal(first.w, second.w)
         np.testing.assert_array_equal(first.x, second.x)
         assert first_trace == second_trace
+
+    def test_each_solve_starts_from_the_last_multipliers_and_penalty(self, monkeypatch):
+        # the first solve starts cold at sigma = 1/m; each later one takes the
+        # previous result's multipliers and the geometric mean sqrt(sigma/m)
+        # of the cold start and the penalty that solve ended on
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = admm_lad_prox(*args, **kwargs)
+            calls.append((kwargs, result))
+            return result
+
+        monkeypatch.setattr(solvers, "admm_lad_prox", recording)
+        inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=39)
+        start = perturbed_start(inst, 0.25, 40)
+        cfg = SolverConfig(max_iters=8, stall_window=None)
+        prox_linear(inst, start, cfg)
+        assert len(calls) == 8
+        first_kwargs, first = calls[0]
+        assert first_kwargs["duals"] is None and first_kwargs["sigma"] is None
+        a_mat, y_tilde = linearized_residual_operator(inst, start)
+        explicit = admm_lad_prox(a_mat, inst.d1, y_tilde, cfg.prox_beta, eps=first_kwargs["eps"],
+                                 center=first_kwargs["center"], sigma=1.0 / inst.m)
+        np.testing.assert_array_equal(explicit.z, first.z)
+        assert explicit.iterations == first.iterations
+        for (_, previous), (kwargs, _) in zip(calls, calls[1:]):
+            assert kwargs["duals"] is previous.duals
+            assert kwargs["sigma"] == math.sqrt(previous.sigma / inst.m)
+        # the penalty does travel: some solve ends above the cold start
+        assert max(result.sigma for _, result in calls) > 1.0 / inst.m
+
+    def test_benchmark_panel_within_newton_budget(self):
+        # the six proxlinear-dense benchmark instances from their spectral starts:
+        # 1,398 Newton steps before the penalty warm start and growth 3, 1,110
+        # after; a slower penalty schedule shows here without the benchmark
+        cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
+        newton = 0
+        for seed in range(400, 406):
+            inst = generate_instance(
+                32, 32, 512, noise=NoiseSpec.gaussian(0.25, sigma=1.0), seed=seed
+            )
+            est = spectral_initialize(inst)
+            _, trace = prox_linear(inst, SignalPair(w=est.w0, x=est.x0), cfg)
+            assert trace.final.relative_error <= 1e-8
+            assert not any(trace.column("inner_exhausted"))
+            newton += sum(trace.column("inner_iters"))
+        assert newton <= 1200
 
     def test_matvec_accounting_matches_inner_counts(self):
         inst = generate_instance(5, 5, 80, seed=35)
