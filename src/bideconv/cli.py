@@ -6,9 +6,10 @@ Each setting is one row of ``_SETTINGS``: its key is both the flag
 settings it reads (its ``_COMMANDS`` row), so any other flag or config-file
 key is a configuration error, never silently ignored, as is a solver setting
 the chosen solver never reads (``_SOLVER_ONLY``).  Settings resolve in
-three layers: the dataclass defaults (plus the few CLI defaults that differ
-from them), then a flat ``key=value`` config file (``--config``), then
-explicit command-line flags, later layers winning.  Exit codes: 0 success, 2
+three layers: the dataclass defaults (plus ``_COMMAND_DEFAULTS``), then a
+flat ``key=value`` config file (``--config``), then explicit command-line
+flags, later layers winning.  An unset ``--iters`` runs the solver's own
+budget, and no run stops on a stalled objective.  Exit codes: 0 success, 2
 configuration error, 1 runtime failure.
 """
 
@@ -108,10 +109,8 @@ _SETTINGS: dict[str, tuple[str, Callable[[str], dict[str, Any]]]] = {
     "iters": ("iteration budget", lambda t: {"max_iters": _parse_int(t)}),
 }
 
-# the CLI defaults that differ from the dataclasses'; the iteration budget
-# is keyed on the solver that runs
+# the per-command defaults that differ from the dataclasses'
 _COMMAND_DEFAULTS = {"sweep-q": {"trials": 50, "solver": "geometric"}, "rip-probe": {"trials": 500}}
-_ITER_DEFAULTS = {"geometric": 2000, "proxlinear": 20}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 # the setting that gives each ExperimentSpec grid; a command takes one value of
 # every grid it does not fan out over
@@ -147,7 +146,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     texts = read_config_file(args.config, args.command) if args.config else {}
     flags = vars(args)
     texts.update((key, flags[key]) for key in _READS[args.command] if flags[key] is not None)
-    values: dict[str, Any] = {"stall_window": None, **_COMMAND_DEFAULTS.get(args.command, {})}
+    values: dict[str, Any] = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     for key, text in texts.items():
         values.update(_SETTINGS[key][1](text))
     out = values.pop("out", None)
@@ -156,9 +155,6 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     for grid, name in _GRID_NAMES.items():
         if grid not in fanned_out and len(values.get(grid, ())) > 1:
             raise ConfigError(f"{args.command} takes one value of {name}")
-    solver = values.get("solver", ExperimentSpec.solver)
-    if "max_iters" not in values and solver in _ITER_DEFAULTS:
-        values["max_iters"] = _ITER_DEFAULTS[solver]
     solver_values = {k: values.pop(k) for k in _SOLVER_FIELDS & values.keys()}
     try:
         spec = ExperimentSpec(kind=kind, solver_config=SolverConfig(**solver_values), **values)
@@ -168,12 +164,6 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
         if key in texts and spec.solver != reader:
             raise ConfigError(f"solver {spec.solver!r} reads no {key}; only {reader} does")
     return spec, out
-
-
-def _print_table(table: ResultTable) -> None:
-    for row in table.sorted_rows():
-        config = ";".join(f"{k}={v}" for k, v in row.config)
-        print(f"{config}  {row.statistic} = {row.value:.10g}")
 
 
 def _maybe_emit(table: ResultTable, out: str | None) -> None:
@@ -203,15 +193,14 @@ def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
         f"final relative error {trace.final.relative_error:.6e} "
         f"({status} threshold {threshold:g})"
     )
-    if out is not None:
-        table = ResultTable()
-        for r in trace.records:
-            config = (("iteration", r.iteration),)
-            table.add(config, "objective", r.objective)
-            table.add(config, "relative_error", r.relative_error)
-            table.add(config, "step_size", r.step_size)
-            table.add(config, "matvecs", r.matvecs)
-        _maybe_emit(table, out)
+    table = ResultTable()
+    for r in trace.records:
+        config = (("iteration", r.iteration),)
+        table.add(config, "objective", r.objective)
+        table.add(config, "relative_error", r.relative_error)
+        table.add(config, "step_size", r.step_size)
+        table.add(config, "matvecs", r.matvecs)
+    _maybe_emit(table, out)
     return 0
 
 
@@ -234,7 +223,10 @@ def _final_error_medians(table: ResultTable) -> ResultTable:
 def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
     table = run_experiment(spec)
     # the full convergence trace table is large; print per-cell final errors only
-    _print_table(_final_error_medians(table) if spec.kind == "convergence" else table)
+    shown = _final_error_medians(table) if spec.kind == "convergence" else table
+    for row in shown.sorted_rows():
+        config = ";".join(f"{k}={v}" for k, v in row.config)
+        print(f"{config}  {row.statistic} = {row.value:.10g}")
     _maybe_emit(table, out)
     return 0
 
@@ -270,7 +262,7 @@ _COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int]
     "phase": ("success-rate grid over (p_fail, c)", "phase", _cmd_experiment,
               "trials solver q lambda beta init iters threshold"),
     "sweep-q": ("decay-rate sweep, mean final error", "qsweep", _cmd_experiment,
-                "trials solver q lambda beta init iters"),
+                "trials q lambda init iters"),
     "rip-probe": ("landscape constants probe", "init", _cmd_rip_probe, "trials"),
 }
 # the instance settings and the CSV path, which every command reads

@@ -28,6 +28,7 @@ from .model import (
     check_instance_shape,
     generate_instance,
     is_count,
+    is_integer,
     pick,
 )
 from .solvers import (
@@ -97,11 +98,13 @@ class ExperimentSpec:
     noise_kind: str = "n1"
     sigmas: tuple[float, ...] = (1.0,)
     left: str = "gaussian"
-    qs: tuple[float, ...] = (0.98,)
+    qs: tuple[float, ...] = (SolverConfig.decay_q,)
 
     def __post_init__(self) -> None:
         if not is_count(self.trials):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not is_integer(self.base_seed):
+            raise ValueError(f"the base seed must be an integer, got {self.base_seed!r}")
         if self.base_seed < 0:
             raise ValueError(f"the base seed must be non-negative, got {self.base_seed}")
         for name, table in CHOICES.items():
@@ -204,8 +207,7 @@ def _random_heuristic_start(inst: ProblemInstance) -> SignalPair:
     dw = rng.standard_normal(inst.d1)
     dx = rng.standard_normal(inst.d2)
     start = SignalPair(w=root * dw / np.linalg.norm(dw), x=root * dx / np.linalg.norm(dx))
-    one_step = SolverConfig(max_iters=1, min_value=0.0, stall_window=None)
-    return polyak_subgradient(inst, start, one_step)[0]
+    return polyak_subgradient(inst, start, SolverConfig(max_iters=1, min_value=0.0))[0]
 
 
 # start name -> its function of the instance; ``spectral`` is the robust pipeline

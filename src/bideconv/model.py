@@ -141,8 +141,8 @@ class NoiseSpec:
             raise ValueError(f"p_fail must lie in [0, 1/2), got {self.p_fail}")
         if self.kind not in ("gaussian", "implant"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.kind == "gaussian" and not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.kind == "implant" and self.sigma != 1.0:
             raise ValueError(f"the implant model reads no sigma, got {self.sigma}")
 
@@ -213,9 +213,14 @@ def pick(table: dict, name: str, what: str):
     return table[name]
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_count(value) -> bool:
-    """Whether ``value`` is an integer >= 1; a bool is not a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    """Whether ``value`` is an integer >= 1."""
+    return is_integer(value) and value >= 1
 
 
 def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
@@ -224,8 +229,7 @@ def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
     Hadamard left side whose m has no power-of-two block >= d1."""
     sizes = (d1, d2, m)
     if not all(is_count(size) for size in sizes):
-        whole = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sizes)
-        rule = "positive" if whole else "integers"
+        rule = "positive" if all(is_integer(size) for size in sizes) else "integers"
         raise DimensionError(f"dimensions must be {rule}, got d1={d1} d2={d2} m={m}")
     pick(LEFT_SIDES, left, "left side")
     block = m & (-m)  # largest power-of-two divisor

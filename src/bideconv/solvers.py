@@ -34,10 +34,10 @@ ended on, and grows it 3x per stage.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -58,7 +58,7 @@ from .model import (
 )
 
 
-@functools.cache
+@cache
 def _scipy_linalg():
     import scipy.linalg
 
@@ -104,28 +104,28 @@ _STALL_TOL = 1e-14
 class SolverConfig:
     """Shared solver parameters; each algorithm reads the subset it needs.
 
-    ``min_value=None`` means "not supplied": the value-gap method treats a
-    noiseless instance as having minimum zero but refuses corrupted instances,
-    where the minimal value is unknown and silently assuming zero would chase
-    a phantom gap.
+    ``max_iters=None`` runs the solver's own budget (Polyak 500, geometric
+    2,000, prox-linear 20); the stall stop is off unless ``stall_window`` is
+    set.  ``min_value=None`` means "not supplied": the value-gap method treats
+    a noiseless instance as having minimum zero but refuses corrupted
+    instances, where the minimal value is unknown and silently assuming zero
+    would chase a phantom gap.
     """
 
-    max_iters: int = 500
+    max_iters: int | None = None
     lambda0: float = 1.0
     decay_q: float = 0.98
     min_value: float | None = None
     prox_beta: float = 1.0
     region: FeasibleRegion | None = None
     tol_rel_err: float = 0.0
-    stall_window: int | None = 50
+    stall_window: int | None = None
 
     def __post_init__(self) -> None:
-        if not is_count(self.max_iters):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (self.stall_window is None or is_count(self.stall_window)):
-            raise ValueError(
-                f"stall_window must be None or an integer >= 1, got {self.stall_window!r}"
-            )
+        for name in ("max_iters", "stall_window"):
+            value = getattr(self, name)
+            if not (value is None or is_count(value)):
+                raise ValueError(f"{name} must be None or an integer >= 1, got {value!r}")
         if not 0.0 < self.decay_q < 1.0:
             raise ValueError(f"decay_q must lie in (0, 1), got {self.decay_q}")
         if not 0.0 < self.lambda0 < math.inf:
@@ -194,20 +194,21 @@ def _run(
     start: SignalPair,
     cfg: SolverConfig,
     iterates: Callable[[SignalPair], Iterates],
+    budget: int,
 ) -> tuple[SignalPair, Trace]:
     """Record what ``iterates`` yields from the projected start until a stop.
 
     The run ends at a non-finite objective (``Trace.diverged``), from
     iteration 1 on at a relative error at or below ``cfg.tol_rel_err`` or
     after ``cfg.stall_window`` iterations without an objective decrease of
-    more than ``_STALL_TOL``, after iteration ``cfg.max_iters``, or when the
-    iterates end at a stationary point.
+    more than ``_STALL_TOL``, after iteration ``cfg.max_iters`` (the solver's
+    ``budget`` when None), or when the iterates end at a stationary point.
     """
-    trace = Trace(max_iters=cfg.max_iters)
+    trace = Trace(max_iters=budget if cfg.max_iters is None else cfg.max_iters)
     best_objective, last_improvement = math.inf, 0
     p = _project(start, cfg.region)
     with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
-        for k, (p, f, step, inner) in zip(range(cfg.max_iters + 1), iterates(p)):
+        for k, (p, f, step, inner) in zip(range(trace.max_iters + 1), iterates(p)):
             error = relative_error(p, inst.truth)
             trace.append(
                 TraceRecord(
@@ -285,7 +286,7 @@ def polyak_subgradient(
         gap = max(f - min_value, 0.0)
         return gap / gnorm2, gap / math.sqrt(gnorm2)
 
-    return _run(inst, start, cfg, functools.partial(_subgradient_iterates, inst, cfg, rule))
+    return _run(inst, start, cfg, partial(_subgradient_iterates, inst, cfg, rule), budget=500)
 
 
 def geometric_subgradient(
@@ -304,7 +305,7 @@ def geometric_subgradient(
         step = cfg.lambda0 * cfg.decay_q ** (k - 1)
         return step / gnorm, step
 
-    return _run(inst, start, cfg, functools.partial(_subgradient_iterates, inst, cfg, rule))
+    return _run(inst, start, cfg, partial(_subgradient_iterates, inst, cfg, rule), budget=2000)
 
 
 class LadProxResult(NamedTuple):
@@ -561,4 +562,4 @@ def prox_linear(
     the previous solve ended (1/m for the first).
     The trace records each solve's Newton steps, gap and exhaustion.
     """
-    return _run(inst, start, cfg, functools.partial(_prox_linear_iterates, inst, cfg))
+    return _run(inst, start, cfg, partial(_prox_linear_iterates, inst, cfg), budget=20)

@@ -89,9 +89,7 @@ def region_digest() -> str:
     inst = model.generate_instance(10, 10, 160, seed=1, magnitude=4.0)
     rng = np.random.default_rng(0)
     start = model.SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
-    cfg = solvers.SolverConfig(
-        max_iters=10, region=geometry.FeasibleRegion(radius=1.5), stall_window=None
-    )
+    cfg = solvers.SolverConfig(max_iters=10, region=geometry.FeasibleRegion(radius=1.5))
     point, trace = solvers.prox_linear(inst, start, cfg)
     h = hashlib.sha256()
     for arr in (point.w, point.x):

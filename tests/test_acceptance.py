@@ -73,7 +73,7 @@ def test_noiseless_polyak_recovery():
     spectral start reach relative error 1e-5 within 500 iterations in at
     least 19 of 20 trials, each within a minute."""
     trials, successes, slowest = 20, 0, 0.0
-    cfg = SolverConfig(max_iters=500, tol_rel_err=1e-5, stall_window=None)
+    cfg = SolverConfig(max_iters=500, tol_rel_err=1e-5)
     for trial in range(trials):
         tic = time.perf_counter()
         inst = generate_instance(100, 100, 1600, seed=100 + trial)
@@ -94,13 +94,7 @@ def test_noiseless_polyak_recovery():
 def _geometric_success_count(
     trials: int, seed0: int, m: int, p_fail: float
 ) -> tuple[int, list[float]]:
-    cfg = SolverConfig(
-        max_iters=2000,
-        lambda0=1.0,
-        decay_q=0.98,
-        tol_rel_err=1e-4,
-        stall_window=None,
-    )
+    cfg = SolverConfig(max_iters=2000, lambda0=1.0, decay_q=0.98, tol_rel_err=1e-4)
     finals = []
     for trial in range(trials):
         noise = NoiseSpec.gaussian(p_fail, sigma=1.0)
@@ -139,7 +133,7 @@ def test_prox_linear_high_accuracy():
     relative error 1e-8 within 20 linearizations in at least 8 of 10 trials."""
     trials, successes = 10, 0
     worst = 0.0
-    cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
+    cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8)
     for trial in range(trials):
         noise = NoiseSpec.gaussian(0.25, sigma=1.0)
         inst = generate_instance(100, 100, 1600, noise=noise, seed=400 + trial)
@@ -183,12 +177,7 @@ def test_hadamard_left_fragility():
         base_seed=500,
         solver="geometric",
         success_threshold=1e-4,
-        solver_config=SolverConfig(
-            max_iters=2000,
-            lambda0=1.0,
-            tol_rel_err=1e-4,
-            stall_window=None,
-        ),
+        solver_config=SolverConfig(max_iters=2000, lambda0=1.0, tol_rel_err=1e-4),
         left="hadamard",
         qs=(0.98,),
     )

@@ -6,7 +6,7 @@ import pytest
 
 from bideconv import experiments
 from bideconv.cli import main
-from bideconv.experiments import solve_instance
+from bideconv.experiments import ExperimentSpec, emit_csv, run_experiment, solve_instance
 
 TINY = ["--d1", "5", "--d2", "5", "--c", "4", "--seed", "3"]
 
@@ -177,7 +177,8 @@ class TestExitCodes:
               "--init", "random-heuristic"], ["--solver", "--iters", "--q", "--init"]),
             (["converge", *TINY, "--threshold", "0.5"], ["--threshold"]),
             (["solve", *TINY, "--trials", "7"], ["--trials"]),
-            (["sweep-q", *TINY, "--solver", "proxlinear"], ["solver 'proxlinear'"]),
+            # sweep-q always runs the geometric solver, so it takes no --solver or --beta
+            (["sweep-q", *TINY, "--solver", "proxlinear"], ["--solver"]),
             # a solver setting that the chosen solver never reads
             (["solve", *TINY, "--solver", "proxlinear", "--lambda", "1e300", "--iters", "3"],
              ["solver 'proxlinear' reads no lambda"]),
@@ -188,8 +189,7 @@ class TestExitCodes:
              ["solver 'geometric' reads no beta"]),
             (["phase", *TINY, "--solver", "polyak", "--lambda", "2", "--iters", "3"],
              ["solver 'polyak' reads no lambda"]),
-            (["sweep-q", *TINY, "--beta", "2", "--iters", "3", "--trials", "1"],
-             ["solver 'geometric' reads no beta"]),
+            (["sweep-q", *TINY, "--beta", "2", "--iters", "3", "--trials", "1"], ["--beta"]),
         ],
         ids=["init", "rip-probe", "converge", "solve", "sweep-q", "solve-lambda", "solve-q",
              "solve-polyak-q", "converge-beta", "phase-lambda", "sweep-q-beta"],
@@ -281,13 +281,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["phase", "sweep-q"])
     def test_divergent_experiment_exits_1(self, capsys, tmp_path, command):
         out_file = tmp_path / "table.csv"
+        # sweep-q always runs the geometric solver and takes no --solver
+        solver = [] if command == "sweep-q" else ["--solver", "geometric"]
         code, _, err = run(
             capsys,
             [
                 command,
                 *TINY,
-                "--solver",
-                "geometric",
+                *solver,
                 "--lambda",
                 "1e300",
                 "--iters",
@@ -467,6 +468,20 @@ class TestExperimentCommands:
         code_set, out_set, _ = run(capsys, [command, *TINY, *settings, *default])
         assert code == code_set == 0
         assert out == out_set
+
+    def test_library_defaults_write_the_command_table(self, capsys, tmp_path):
+        # a spec that sets no solver field runs what the command runs: the
+        # library's Polyak runs once stopped on a stall the command turned
+        # off, and wrote 726 rows to its 3,006
+        spec = ExperimentSpec(kind="convergence", d1=10, d2=10, m_ratios=(8,), p_fails=(0.0,),
+                              trials=2, solver="polyak")
+        library, command = tmp_path / "library.csv", tmp_path / "command.csv"
+        emit_csv(run_experiment(spec), library)
+        argv = ["converge", "--d1", "10", "--d2", "10", "--c", "8", "--pfail", "0", "--trials",
+                "2", "--solver", "polyak", "--seed", "0", "--out", str(command)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert library.read_bytes() == command.read_bytes()
 
     def test_csv_bytes_stable_across_invocations(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

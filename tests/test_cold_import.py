@@ -63,7 +63,7 @@ def hadamard_geometric_case() -> dict:
     inst = generate_instance(16, 16, 256, left="hadamard", noise=NoiseSpec.gaussian(0.1), seed=4)
     est = spectral_initialize(inst)
     point, trace = geometric_subgradient(
-        inst, SignalPair(w=est.w0, x=est.x0), SolverConfig(max_iters=50, stall_window=None)
+        inst, SignalPair(w=est.w0, x=est.x0), SolverConfig(max_iters=50)
     )
     return {
         "w": point.w.tobytes().hex(),
@@ -76,7 +76,7 @@ def prox_linear_case() -> dict:
     """A small prox-linear solve, as bytes that must match across interpreters."""
     inst = generate_instance(6, 6, 96, noise=NoiseSpec.gaussian(0.1), seed=5)
     start = SignalPair(w=inst.truth.w_bar + 0.1, x=inst.truth.x_bar - 0.1)
-    point, trace = prox_linear(inst, start, SolverConfig(max_iters=6, stall_window=None))
+    point, trace = prox_linear(inst, start, SolverConfig(max_iters=6))
     assert sum(trace.column("inner_iters")) > 0
     return {
         "w": point.w.tobytes().hex(),

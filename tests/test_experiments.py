@@ -102,6 +102,9 @@ class TestExperimentSpec:
             # p_fail 0 draws no noise, yet its sigma is judged all the same
             pytest.param({"p_fails": (0.0,), "sigmas": (-3.0,)}, "sigma must be positive",
                          id="negative-sigma"),
+            # an infinite sigma failed only in its cell's first trial, as non-finite y
+            pytest.param({"p_fails": (0.1,), "sigmas": (1.0, math.inf)},
+                         "sigma must be positive and finite, got inf", id="infinite-sigma"),
             # every cell is judged, not only the first one to run
             pytest.param({"p_fails": (0.1, 0.6)}, "p_fail must lie", id="p_fail-0.6"),
             # every c is judged by the model's shape rule: m = c(d1 + d2) must be
@@ -118,6 +121,11 @@ class TestExperimentSpec:
             # a negative seed failed only in the first trial, in NumPy's seeding
             pytest.param({"base_seed": -1}, "seed must be non-negative, got -1",
                          id="negative-seed"),
+            # a float seed drew the instances of its integer part, and True those of 1
+            pytest.param({"base_seed": 1.5}, "seed must be an integer, got 1.5",
+                         id="seed-not-integer"),
+            pytest.param({"base_seed": True}, "seed must be an integer, got True",
+                         id="seed-bool"),
             # a float count raised a TypeError naming no setting in the first
             # trial, and True ran one trial
             pytest.param({"trials": 2.5}, "trials must be an integer >= 1, got 2.5",
@@ -222,7 +230,7 @@ class TestRunPhaseTransition:
             trials=2,
             solver="geometric",
             qs=(0.5,),
-            solver_config=SolverConfig(max_iters=40, stall_window=None),
+            solver_config=SolverConfig(max_iters=40),
         )
         assert run_phase_transition(spec).values("median_final_error") == [0.2818004559664355]
 
@@ -233,7 +241,7 @@ class TestRunPhaseTransition:
             m_ratios=(2, 8),
             trials=6,
             solver="geometric",
-            solver_config=SolverConfig(max_iters=400, lambda0=1.0, stall_window=None),
+            solver_config=SolverConfig(max_iters=400, lambda0=1.0),
             qs=(0.95,),
             success_threshold=1e-4,
         )
@@ -251,7 +259,7 @@ class TestRunQSweep:
             qs=(0.9, 0.95, 0.98),
             trials=2,
             solver="geometric",
-            solver_config=SolverConfig(max_iters=60, stall_window=None),
+            solver_config=SolverConfig(max_iters=60),
         )
         table = run_q_sweep(spec)
         assert len(table) == 6
@@ -269,7 +277,7 @@ class TestRunQSweep:
             qs=(0.9, 0.995),
             trials=3,
             solver="geometric",
-            solver_config=SolverConfig(max_iters=150, stall_window=None),
+            solver_config=SolverConfig(max_iters=150),
         )
         table = run_q_sweep(spec)
         fast = table.values("mean_final_error", q=0.9)[0]
@@ -364,7 +372,7 @@ class TestTableBytes:
     to how the drivers enumerate cells, seed trials, draw instances or reduce
     them to statistics shows here."""
 
-    GEOMETRIC = SolverConfig(max_iters=60, stall_window=None)
+    GEOMETRIC = SolverConfig(max_iters=60)
 
     @pytest.mark.parametrize(
         "overrides, sha256",

@@ -95,7 +95,7 @@ class TestPolyak:
 
     def test_explicit_min_value_unlocks_corrupted_instance(self):
         inst = generate_instance(5, 5, 80, noise=NoiseSpec.gaussian(0.25), seed=2)
-        cfg = SolverConfig(max_iters=20, min_value=0.0, stall_window=None)
+        cfg = SolverConfig(max_iters=20, min_value=0.0)
         final, trace = polyak_subgradient(inst, perturbed_start(inst, 0.1, 3), cfg)
         assert trace.final.iteration == 20
 
@@ -144,7 +144,7 @@ class TestPolyak:
 
     def test_matvec_accounting_four_per_iteration(self):
         inst = generate_instance(6, 6, 96, seed=8)
-        cfg = SolverConfig(max_iters=7, stall_window=None)
+        cfg = SolverConfig(max_iters=7)
         with count_matvecs() as outer:
             _, trace = polyak_subgradient(inst, perturbed_start(inst, 0.3, 9), cfg)
         counts = trace.column("matvecs")
@@ -161,7 +161,7 @@ class TestGeometric:
     def test_step_norms_follow_schedule_exactly(self):
         inst = generate_instance(8, 8, 128, seed=11)
         lam, q = 0.05, 0.9
-        cfg = SolverConfig(max_iters=10, lambda0=lam, decay_q=q, stall_window=None)
+        cfg = SolverConfig(max_iters=10, lambda0=lam, decay_q=q)
         _, trace = geometric_subgradient(inst, perturbed_start(inst, 0.4, 12), cfg)
         steps = trace.column("step_size")[1:]
         assert steps == [lam * q**k for k in range(len(steps))]
@@ -190,7 +190,7 @@ class TestGeometric:
 
     def test_noiseless_convergence(self):
         inst = generate_instance(10, 10, 160, seed=17)
-        cfg = SolverConfig(max_iters=400, lambda0=1.0, decay_q=0.9, stall_window=None)
+        cfg = SolverConfig(max_iters=400, lambda0=1.0, decay_q=0.9)
         final, trace = geometric_subgradient(inst, perturbed_start(inst, 0.3, 18), cfg)
         assert trace.final.relative_error <= 1e-6
 
@@ -198,16 +198,16 @@ class TestGeometric:
         inst = generate_instance(
             10, 10, 320, noise=NoiseSpec.gaussian(0.25, sigma=1.0), seed=19
         )
-        cfg = SolverConfig(max_iters=600, lambda0=1.0, decay_q=0.95, stall_window=None)
+        cfg = SolverConfig(max_iters=600, lambda0=1.0, decay_q=0.95)
         final, trace = geometric_subgradient(inst, perturbed_start(inst, 0.3, 20), cfg)
         assert trace.final.relative_error <= 1e-4
 
     def test_non_finite_objective_ends_the_run(self):
         inst = generate_instance(5, 5, 40, seed=3)
         start = perturbed_start(inst, 0.3, 4)
-        _, finite = geometric_subgradient(inst, start, SolverConfig(max_iters=5, stall_window=None))
+        _, finite = geometric_subgradient(inst, start, SolverConfig(max_iters=5))
         assert not finite.diverged and finite.final.iteration == 5
-        cfg = SolverConfig(max_iters=5, lambda0=1e300, stall_window=None)
+        cfg = SolverConfig(max_iters=5, lambda0=1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             _, trace = geometric_subgradient(inst, start, cfg)
         assert trace.diverged
@@ -222,9 +222,7 @@ class TestGeometric:
             64, 64, 1024, left="hadamard", noise=NoiseSpec.gaussian(0.05, sigma=1.0), seed=7
         )
         est = spectral_initialize(inst)
-        cfg = SolverConfig(
-            max_iters=2000, lambda0=1.0, decay_q=0.98, tol_rel_err=1e-4, stall_window=None
-        )
+        cfg = SolverConfig(max_iters=2000, lambda0=1.0, decay_q=0.98, tol_rel_err=1e-4)
         _, trace = geometric_subgradient(inst, SignalPair(w=est.w0, x=est.x0), cfg)
         assert len(trace.records) == 438
         assert trace.final.matvecs == 1752
@@ -234,7 +232,7 @@ class TestGeometric:
     def test_divergent_run_prints_no_warnings(self):
         # the overflow is reported through Trace.diverged, not as NumPy warnings
         inst = generate_instance(5, 5, 40, seed=3)
-        cfg = SolverConfig(max_iters=5, lambda0=1e300, stall_window=None)
+        cfg = SolverConfig(max_iters=5, lambda0=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, trace = geometric_subgradient(inst, perturbed_start(inst, 0.3, 4), cfg)
@@ -462,7 +460,7 @@ class TestProxLinear:
 
     def test_trace_records_certified_gaps(self):
         inst = generate_instance(10, 10, 160, noise=NoiseSpec.gaussian(0.25), seed=29)
-        cfg = SolverConfig(max_iters=8, stall_window=None)
+        cfg = SolverConfig(max_iters=8)
         _, trace = prox_linear(inst, perturbed_start(inst, 0.2, 30), cfg)
         assert trace.records[0].inner_gap == 0.0
         for record in trace.records[1:]:
@@ -471,7 +469,7 @@ class TestProxLinear:
 
     def test_outer_objective_decreases_up_to_inner_tolerance(self):
         inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=31)
-        cfg = SolverConfig(max_iters=12, stall_window=None)
+        cfg = SolverConfig(max_iters=12)
         _, trace = prox_linear(inst, perturbed_start(inst, 0.25, 32), cfg)
         objectives = trace.column("objective")
         for k, (before, after) in enumerate(zip(objectives, objectives[1:]), start=1):
@@ -481,7 +479,7 @@ class TestProxLinear:
         monkeypatch.setattr(solvers, "_MAX_NEWTON", 2)
         monkeypatch.setattr(solvers, "_gap_tolerance", lambda k: 1e-12)
         inst = generate_instance(6, 6, 96, seed=33)
-        cfg = SolverConfig(max_iters=3, stall_window=None)
+        cfg = SolverConfig(max_iters=3)
         _, trace = prox_linear(inst, perturbed_start(inst, 0.3, 34), cfg)
         assert any(trace.column("inner_exhausted"))
         assert trace.final.iteration == 3
@@ -493,7 +491,7 @@ class TestProxLinear:
         rng = np.random.default_rng(0)
         start = SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
         region = FeasibleRegion(radius=1.5)
-        cfg = SolverConfig(max_iters=10, region=region, stall_window=None)
+        cfg = SolverConfig(max_iters=10, region=region)
         final, trace = prox_linear(inst, start, cfg)
         assert trace.final.iteration == 10
         assert np.linalg.norm(final.w) <= region.radius + 1e-12
@@ -507,7 +505,7 @@ class TestProxLinear:
             32, 32, 256, left="hadamard", noise=NoiseSpec.gaussian(0.1), seed=500
         )
         est = spectral_initialize(inst)
-        cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
+        cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8)
         _, trace = prox_linear(inst, SignalPair(w=est.w0, x=est.x0), cfg)
         assert trace.final.relative_error <= 1e-8
         assert not any(trace.column("inner_exhausted"))
@@ -533,12 +531,12 @@ class TestProxLinear:
             )
             est = spectral_initialize(inst)
             start = SignalPair(w=est.w0, x=est.x0)
-            cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
+            cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8)
         else:
             inst = generate_instance(10, 10, 160, seed=1, magnitude=4.0)
             rng = np.random.default_rng(0)
             start = SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
-            cfg = SolverConfig(max_iters=10, region=region, stall_window=None)
+            cfg = SolverConfig(max_iters=10, region=region)
         _, trace = prox_linear(inst, start, cfg)
         assert len(trace.records) == records
         assert sum(trace.column("inner_iters")) == newton
@@ -597,7 +595,7 @@ class TestProxLinear:
         # the warm-started multipliers live inside one call, so nothing carries over
         inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=39)
         start = perturbed_start(inst, 0.25, 40)
-        cfg = SolverConfig(max_iters=8, stall_window=None)
+        cfg = SolverConfig(max_iters=8)
         first, first_trace = prox_linear(inst, start, cfg)
         second, second_trace = prox_linear(inst, start, cfg)
         np.testing.assert_array_equal(first.w, second.w)
@@ -618,7 +616,7 @@ class TestProxLinear:
         monkeypatch.setattr(solvers, "admm_lad_prox", recording)
         inst = generate_instance(8, 8, 128, noise=NoiseSpec.gaussian(0.2), seed=39)
         start = perturbed_start(inst, 0.25, 40)
-        cfg = SolverConfig(max_iters=8, stall_window=None)
+        cfg = SolverConfig(max_iters=8)
         prox_linear(inst, start, cfg)
         assert len(calls) == 8
         first_kwargs, first = calls[0]
@@ -638,7 +636,7 @@ class TestProxLinear:
         # the six proxlinear-dense benchmark instances from their spectral starts:
         # 1,398 Newton steps before the penalty warm start and growth 3, 1,110
         # after; a slower penalty schedule shows here without the benchmark
-        cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8, stall_window=None)
+        cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8)
         newton = 0
         for seed in range(400, 406):
             inst = generate_instance(
@@ -651,9 +649,19 @@ class TestProxLinear:
             newton += sum(trace.column("inner_iters"))
         assert newton <= 1200
 
+    def test_default_run_stops_at_its_own_budget(self):
+        # SolverConfig() once ran 500 outer steps with a 50-step stall stop:
+        # 69 outer steps and 48 exhausted inner solves from this start, where
+        # 20 reach machine precision
+        inst = generate_instance(32, 32, 512, noise=NoiseSpec.gaussian(0.25), seed=400)
+        est = spectral_initialize(inst)
+        _, trace = prox_linear(inst, SignalPair(w=est.w0, x=est.x0), SolverConfig())
+        assert len(trace.records) <= 21
+        assert not any(trace.column("inner_exhausted"))
+
     def test_matvec_accounting_matches_inner_counts(self):
         inst = generate_instance(5, 5, 80, seed=35)
-        cfg = SolverConfig(max_iters=4, stall_window=None)
+        cfg = SolverConfig(max_iters=4)
         with count_matvecs() as outer:
             _, trace = prox_linear(inst, perturbed_start(inst, 0.2, 36), cfg)
         # 2 products per linearization; the inner solver works on the
@@ -683,16 +691,21 @@ class TestRunLoop:
         return trace
 
     def test_budget_bounds_the_trace(self, solver):
-        trace = self.run(solver, max_iters=3, stall_window=None)
+        trace = self.run(solver, max_iters=3)
         assert trace.column("iteration") == [0, 1, 2, 3]
 
+    def test_default_budget_is_the_solvers_own(self, solver):
+        trace = self.run(solver)
+        own = {polyak_subgradient: 500, geometric_subgradient: 2000, prox_linear: 20}
+        assert trace.max_iters == own[solver]
+
     def test_tolerance_stops_at_first_record_at_or_below_it(self, solver):
-        full = self.run(solver, max_iters=12, stall_window=None)
+        full = self.run(solver, max_iters=12)
         errors = full.column("relative_error")
         # the start already meets the second tolerance, and only iteration 1 may stop on it
         for tol in (errors[3], 2.0 * errors[0]):
             stop = next(k for k in range(1, len(errors)) if errors[k] <= tol)
-            trace = self.run(solver, max_iters=12, stall_window=None, tol_rel_err=tol)
+            trace = self.run(solver, max_iters=12, tol_rel_err=tol)
             assert trace.final.iteration == stop >= 1
             assert trace.records == full.records[: stop + 1]
 
@@ -768,7 +781,7 @@ class TestConfigAndTrace:
 
         monkeypatch.setattr(solvers, "relative_error", recording)
         inst = generate_instance(10, 10, 160, noise=NoiseSpec.gaussian(0.2), seed=41)
-        cfg = SolverConfig(max_iters=40 if solver is geometric_subgradient else 6, stall_window=None)
+        cfg = SolverConfig(max_iters=40 if solver is geometric_subgradient else 6)
         _, trace = solver(inst, perturbed_start(inst, 0.2, 42), cfg)
         assert len(visited) == len(trace.records) > 2
         planted = np.outer(inst.truth.w_bar, inst.truth.x_bar)
