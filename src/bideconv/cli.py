@@ -10,7 +10,8 @@ three layers: the dataclass defaults (plus ``_COMMAND_DEFAULTS``), then a
 flat ``key=value`` config file (``--config``), then explicit command-line
 flags, later layers winning.  An unset ``--iters`` runs the solver's own
 budget, and no run stops on a stalled objective.  Exit codes: 0 success, 2
-configuration error, 1 runtime failure.
+configuration error (every setting is judged before the first trial), 1
+runtime failure (whatever a command raises after that).
 """
 
 from __future__ import annotations
@@ -37,25 +38,20 @@ from .experiments import (
 )
 from .geometry import estimate_rip_constants
 from .solvers import SolverConfig
-from .spectral_init import DegenerateFitError
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise ConfigError(f"expected one integer, got {text!r}") from exc
+        raise ValueError(f"expected one integer, got {text!r}") from exc
 
 
 def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError as exc:
-        raise ConfigError(f"expected one number, got {text!r}") from exc
+        raise ValueError(f"expected one number, got {text!r}") from exc
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -71,13 +67,13 @@ def _parse_noise(text: str) -> dict[str, Any]:
     kind, comma, spec = text.partition(",")
     kind = kind.strip()
     if kind not in NOISE_KINDS:
-        raise ConfigError(f"noise model must be {' or '.join(NOISE_KINDS)}, got {kind!r}")
+        raise ValueError(f"noise model must be {' or '.join(NOISE_KINDS)}, got {kind!r}")
     sigmas = (1.0,)
     if comma:
         if NOISE_KINDS[kind] == "implant":  # even sigma=1: the spec cannot tell it from unset
-            raise ConfigError("the implant model takes no sigma")
+            raise ValueError("the implant model takes no sigma")
         if not spec.startswith("sigma="):
-            raise ConfigError(f"expected sigma=..., got {spec!r}")
+            raise ValueError(f"expected sigma=..., got {spec!r}")
         sigmas = _parse_float_list(spec[len("sigma=") :])
     return {"noise_kind": kind, "sigmas": sigmas}
 
@@ -128,16 +124,16 @@ def read_config_file(path: str, command: str) -> dict[str, str]:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key not in _READS[command]:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
                 if key in values:
-                    raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice")
+                    raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
                 values[key] = value.strip()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -154,15 +150,12 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     fanned_out = KINDS[kind][0] if handler is _cmd_experiment else ()
     for grid, name in _GRID_NAMES.items():
         if grid not in fanned_out and len(values.get(grid, ())) > 1:
-            raise ConfigError(f"{args.command} takes one value of {name}")
+            raise ValueError(f"{args.command} takes one value of {name}")
     solver_values = {k: values.pop(k) for k in _SOLVER_FIELDS & values.keys()}
-    try:
-        spec = ExperimentSpec(kind=kind, solver_config=SolverConfig(**solver_values), **values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = ExperimentSpec(kind=kind, solver_config=SolverConfig(**solver_values), **values)
     for key, reader in _SOLVER_ONLY.items():
         if key in texts and spec.solver != reader:
-            raise ConfigError(f"solver {spec.solver!r} reads no {key}; only {reader} does")
+            raise ValueError(f"solver {spec.solver!r} reads no {key}; only {reader} does")
     return spec, out
 
 
@@ -294,18 +287,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         spec, out = _resolve(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command][2](spec, out)
-    except DegenerateFitError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # DimensionError included
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # every setting was judged above
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

@@ -26,15 +26,17 @@ from .model import (
     ProblemInstance,
     SignalPair,
     check_instance_shape,
+    check_seed,
+    corrupted_count,
     generate_instance,
     is_count,
-    is_integer,
     pick,
 )
 from .solvers import (
     SolverConfig,
     Trace,
     geometric_subgradient,
+    polyak_min_value,
     polyak_subgradient,
     prox_linear,
 )
@@ -55,12 +57,13 @@ NOISE_KINDS = {"n1": "gaussian", "n2": "implant"}
 def derive_seed(base_seed: int, *parts: int | float | str) -> int:
     """Collapse a base seed plus heterogeneous cell coordinates into one seed.
 
-    Floats contribute their exact bit pattern, so distinct values (including
-    ones that print alike) give independent streams, while the same value
-    always gives the same stream no matter where it sits in a grid.
+    The base seed is judged like every part.  Floats contribute their exact
+    bit pattern, so distinct values (including ones that print alike) give
+    independent streams, while the same value always gives the same stream
+    no matter where it sits in a grid.
     """
-    entropy: list[int] = [int(base_seed)]
-    for part in parts:
+    entropy: list[int] = []
+    for part in (base_seed, *parts):
         if isinstance(part, bool):
             raise TypeError("booleans are ambiguous seed material")
         if isinstance(part, str):
@@ -80,8 +83,8 @@ class ExperimentSpec:
     ``qs`` is the one home of the geometric decay rate: every solver runs at
     its cell's q, which is the spec's one ``qs`` value for a kind that does
     not fan out over q, so ``solver_config.decay_q`` must keep its default.
-    Every name is a key of its ``CHOICES`` table, and every cell must make a
-    valid instance shape, ``NoiseSpec`` and decay rate, checked before any trial.
+    Every name is a key of its ``CHOICES`` table, and every cell's shape,
+    noise, decay rate, seed and Polyak minimal value are judged before any trial.
     """
 
     kind: str
@@ -103,19 +106,17 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not is_count(self.trials):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not is_integer(self.base_seed):
-            raise ValueError(f"the base seed must be an integer, got {self.base_seed!r}")
-        if self.base_seed < 0:
-            raise ValueError(f"the base seed must be non-negative, got {self.base_seed}")
+        check_seed(self.base_seed, "the base seed")
         for name, table in CHOICES.items():
             pick(table, getattr(self, name), name)
+        grids = KINDS[self.kind][0]
         for name in GRID_KEYS:
             grid = getattr(self, name)
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(grid)) < len(grid):
                 raise ValueError(f"{name} repeats a value")
-            if name not in KINDS[self.kind][0] and len(grid) > 1:
+            if name not in grids and len(grid) > 1:
                 raise ValueError(f"a {self.kind} runs at one value of {name}, got {len(grid)}")
         if self.solver_config.decay_q != SolverConfig.decay_q:
             raise ValueError(
@@ -125,10 +126,18 @@ class ExperimentSpec:
             replace(self.solver_config, decay_q=q)
         if self.kind == "qsweep" and self.solver != "geometric":
             raise ValueError(f"a qsweep runs the geometric solver, got solver {self.solver!r}")
-        for cell in itertools.product(self.m_ratios, self.p_fails, self.sigmas):
-            _m_noise(self, *cell)
+        cells = itertools.product(self.m_ratios, self.p_fails, self.sigmas)
+        shapes = [_m_noise(self, *cell) for cell in cells]
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
+        for values in itertools.product(*(getattr(self, name) for name in grids)):
+            try:
+                derive_seed(self.base_seed, self.kind, *values, 0)  # as trial_instances does
+            except TypeError as exc:
+                raise ValueError(f"cell {dict(zip(grids, values))}: {exc}") from exc
+        if self.solver == "polyak" and self.kind != "init":  # init runs no solver
+            for m, noise in shapes:
+                polyak_min_value(self.solver_config.min_value, corrupted_count(noise.p_fail, m))
 
 
 Config = tuple[tuple[str, int | float | str], ...]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linops import MeasurementOperator
-from .model import GroundTruth, SignalPair
+from .model import GroundTruth, SignalPair, check_seed, is_count
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,9 @@ def estimate_rip_constants(
     evaluates (1/m)||A(X)||_1 through two bilinear products, plus the gap
     (1/m)(||A(X) on inliers||_1 - ||A(X) on outliers||_1).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not is_count(samples):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    check_seed(seed)
     mask = np.ascontiguousarray(outlier_mask, dtype=bool)
     if mask.size != op.m:
         raise ValueError("outlier mask length must equal the measurement count")

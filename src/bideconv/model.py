@@ -223,6 +223,14 @@ def is_count(value) -> bool:
     return is_integer(value) and value >= 1
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed that is not a non-negative integer (a bool is none)."""
+    if not is_integer(seed):
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+
+
 def check_instance_shape(d1: int, d2: int, m: int, left: str) -> None:
     """Refuse a shape ``generate_instance`` cannot build: a size that is not an
     integer (a bool is none) or is below 1, an unknown left side, or a
@@ -293,6 +301,7 @@ def generate_instance(
         each with norm ``sqrt(magnitude)``.
     """
     check_instance_shape(d1, d2, m, left)
+    check_seed(seed)
     if not magnitude > 0.0:
         raise ValueError(f"magnitude must be positive, got {magnitude}")
     if noise is None:

@@ -259,25 +259,26 @@ def _subgradient_iterates(
         yield p, f, step, {}
 
 
+def polyak_min_value(min_value: float | None, outlier_count: int) -> float:
+    """Polyak's target value: ``min_value``, else zero if no measurement is
+    corrupted; otherwise the planted residuals do not vanish, so it is unknown."""
+    if min_value is None and outlier_count > 0:
+        raise ValueError(
+            "corrupted instance: the minimal objective value is unknown; "
+            "pass min_value explicitly to run the value-gap method"
+        )
+    return 0.0 if min_value is None else min_value
+
+
 def polyak_subgradient(
     inst: ProblemInstance, start: SignalPair, cfg: SolverConfig
 ) -> tuple[SignalPair, Trace]:
     """Value-gap subgradient method: step (f - f_min)/||g||^2 along -g.
 
-    Requires the true minimal value.  On noiseless instances that value is
-    zero and is assumed when ``cfg.min_value`` is unset; corrupted instances
-    are refused without an explicit value, since the residuals of the planted
-    signal no longer vanish.
+    Requires the true minimal value, by ``polyak_min_value``: the rule that
+    ``ExperimentSpec`` applies to every cell before the first trial.
     """
-    if cfg.min_value is None:
-        if inst.outlier_count > 0:
-            raise ValueError(
-                "corrupted instance: the minimal objective value is unknown; "
-                "pass min_value explicitly to run the value-gap method"
-            )
-        min_value = 0.0
-    else:
-        min_value = cfg.min_value
+    min_value = polyak_min_value(cfg.min_value, inst.outlier_count)
 
     def rule(k: int, f: float, grad: np.ndarray) -> tuple[float, float] | None:
         gnorm2 = float(grad @ grad)
@@ -382,9 +383,9 @@ def admm_lad_prox(
     stage ends on a fresh residual Az - y~, which starts the next stage and,
     without a region, gives the gap's P, so the certificate never rests on
     the residual the trials accumulated.  Without
-    a region the ball terms are zero and are not formed, and the gap takes
-    A^T u from the last gradient; with a region the gap recomputes the
-    residual and A^T u + u2 at the projected z.
+    a region the ball terms are zero and are not formed; the gap takes
+    A^T u from the last gradient, and with a region it recomputes the
+    residual at the projected z.
 
     z starts at zero, (u, u2) at ``duals`` (zero when None) and the penalty
     at ``sigma`` (1/m when None); the result carries the final multipliers
@@ -478,13 +479,13 @@ def admm_lad_prox(
         u = cap
         t = a_mat @ z  # fresh: the trials built t up by accumulation
         t -= y_tilde
+        # the last gradient formed A^T u; without a region u2 is zero and z feasible
+        feasible, residual, dual_z = z, t, atc
         if clip:
             u2 = sigma * out
             feasible = project(z)
             residual = a_mat @ feasible - y_tilde
-            dual_z = a_mat.T @ u + u2  # -beta times the dual's z
-        else:  # u2 is zero and z feasible; the last gradient formed A^T u
-            feasible, residual, dual_z = z, t, atc
+            dual_z = atc + u2  # -beta times the dual's z
         dual = -u @ y_tilde - dual_z @ dual_z / (2.0 * beta)
         if clip:
             dual -= sum(

@@ -1,12 +1,6 @@
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-# Make the oracle helpers importable as a plain module from any test file.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from verdicts import VERDICTS  # noqa: E402
+from verdicts import VERDICTS  # importable as a plain module: tests/ is on pythonpath
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,9 +4,10 @@ config-file layer, exit codes, and CSV side effects."""
 import numpy as np
 import pytest
 
-from bideconv import experiments
+from bideconv import cli, experiments
 from bideconv.cli import main
 from bideconv.experiments import ExperimentSpec, emit_csv, run_experiment, solve_instance
+from bideconv.spectral_init import DegenerateFitError
 
 TINY = ["--d1", "5", "--d2", "5", "--c", "4", "--seed", "3"]
 
@@ -239,6 +240,52 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "dimensions must be positive, got d1=8 d2=8 m=0" in err
         assert solves == []
+
+    def test_polyak_without_a_minimum_is_refused_before_the_first_trial(
+        self, capsys, monkeypatch
+    ):
+        # the p_fail 0 cell comes first; its trials used to run before the 0.1
+        # cell's unknown minimal value was refused
+        solves = []
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve_instance(*args)
+
+        monkeypatch.setattr(experiments, "solve_instance", counting_solve)
+        argv = ["phase", "--d1", "8", "--d2", "8", "--c", "4", "--pfail", "0,0.1", "--trials",
+                "2", "--solver", "polyak", "--iters", "50", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "min_value" in err
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ValueError("a value went wrong"),
+            # a LinAlgError is a ValueError, so it used to exit 2 as a configuration error
+            np.linalg.LinAlgError("leading minor 3 of the matrix is not positive definite"),
+            DegenerateFitError("every bilinear product is zero"),
+        ],
+        ids=["ValueError", "LinAlgError", "DegenerateFitError"],
+    )
+    def test_a_commands_own_failure_exits_1(self, capsys, monkeypatch, error):
+        def failing_start(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "initial_point", failing_start)
+        code, out, err = run(capsys, ["solve", *TINY, "--iters", "5"])
+        assert (code, out) == (1, "")
+        assert f"runtime failure: {error}" in err
+
+    def test_newton_matrix_that_is_not_positive_definite_exits_1(self, capsys):
+        # every setting is valid; the LAD-prox Newton matrix fails at this tiny beta
+        argv = ["solve", "--d1", "5", "--d2", "5", "--c", "4", "--pfail", "0.1", "--solver",
+                "proxlinear", "--beta", "1e-12", "--seed", "1"]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert "runtime failure" in err and "not positive definite" in err
 
     def test_config_key_the_command_never_reads_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

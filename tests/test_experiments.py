@@ -19,7 +19,7 @@ from bideconv.experiments import (
     run_phase_transition,
     run_q_sweep,
 )
-from bideconv.model import generate_instance
+from bideconv.model import corrupted_count, generate_instance
 from bideconv.solvers import SolverConfig
 
 
@@ -59,6 +59,15 @@ class TestDeriveSeed:
     def test_rejects_booleans(self):
         with pytest.raises(TypeError):
             derive_seed(0, True)
+
+    def test_base_seed_is_judged_like_every_part(self):
+        # the base seed was taken as int(base_seed): 1.5 and True collided with 1
+        assert derive_seed(1.5, "phase", 8, 0) != derive_seed(1, "phase", 8, 0)
+        with pytest.raises(TypeError):
+            derive_seed(True, "phase", 8, 0)
+
+    def test_integer_seeds_keep_their_streams(self):
+        assert derive_seed(3, "phase", 8, 0.25, 0) == 12619550142080592898
 
 
 class TestExperimentSpec:
@@ -135,11 +144,40 @@ class TestExperimentSpec:
             # a bool size raised a TypeError naming no setting in the first trial
             pytest.param({"d1": True}, "dimensions must be integers, got d1=True",
                          id="d1-bool"),
+            # a bool grid value passed every check, then derive_seed raised a
+            # TypeError in the cell's first trial
+            pytest.param({"m_ratios": (True,)}, "'m_ratios': True.*ambiguous seed material",
+                         id="c-bool"),
+            pytest.param({"p_fails": (False,)}, "'p_fails': False.*ambiguous seed material",
+                         id="p_fail-bool"),
+            pytest.param({"sigmas": (True,)}, "'sigmas': True.*ambiguous seed material",
+                         id="sigma-bool"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_spec(**overrides)
+
+    def test_polyak_needs_a_known_minimum_in_every_cell(self):
+        # the p_fail 0 cell comes first; the 0.1 cell used to fail only after it ran
+        with pytest.raises(ValueError, match="min_value"):
+            small_spec(p_fails=(0.0, 0.1))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"solver_config": SolverConfig(max_iters=120, min_value=0.0)},
+                         id="min-value-set"),
+            # init runs no solver, and rip-probe borrows it
+            pytest.param({"kind": "init"}, id="init"),
+            # 0.005 * 96 rounds to no corrupted measurement
+            pytest.param({"p_fails": (0.0, 0.005)}, id="no-corrupted-count"),
+        ],
+    )
+    def test_polyak_minimum_rule_spares_cells_it_does_not_reach(self, overrides):
+        assert corrupted_count(0.005, 96) == 0
+        spec = small_spec(**{"p_fails": (0.0, 0.1)} | overrides)
+        assert spec.solver == "polyak"
 
 
 class TestResultTable:

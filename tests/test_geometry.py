@@ -229,6 +229,25 @@ class TestLandscapeProbes:
         est_dirty = estimate_rip_constants(dirty.op, dirty.outlier_mask, samples=30, seed=3)
         assert est_dirty.c_outlier < est_clean.c_outlier
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # 2.5 raised a TypeError naming no setting, and True ran one sample
+            ({"samples": 2.5}, "samples must be an integer >= 1, got 2.5"),
+            ({"samples": True}, "samples must be an integer >= 1, got True"),
+            ({"samples": 0}, "samples must be an integer >= 1, got 0"),
+            ({"samples": 3, "seed": True}, "seed must be an integer, got True"),
+            ({"samples": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"samples": 3, "seed": -1}, "seed must be non-negative, got -1"),
+        ],
+        ids=["samples-float", "samples-bool", "samples-0", "seed-bool", "seed-float",
+             "seed-negative"],
+    )
+    def test_probe_rejects_a_setting_by_name(self, settings, message):
+        inst = generate_instance(4, 4, 32, seed=1)
+        with pytest.raises(ValueError, match=message):
+            estimate_rip_constants(inst.op, inst.outlier_mask, **settings)
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             LandscapeEstimate(c_lower=2.0, c_upper=1.0, c_outlier=0.0, sample_count=5)

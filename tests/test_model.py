@@ -134,6 +134,21 @@ class TestGeneration:
         with pytest.raises(DimensionError, match=named):
             generate_instance(*sizes)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # True drew seed 1's instance; 1.5 and -1 failed in NumPy's seeding,
+            # with messages that named no setting
+            (True, "seed must be an integer, got True"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (-1, "seed must be non-negative, got -1"),
+        ],
+        ids=["seed-bool", "seed-float", "seed-negative"],
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(4, 4, 32, seed=seed)
+
     @pytest.mark.parametrize("m", [16, 24])
     def test_hadamard_left_is_seed_independent(self, m):
         a = generate_instance(4, 4, m, left="hadamard", seed=0)
