@@ -64,7 +64,7 @@ def derive_seed(base_seed: int, *parts: int | float | str) -> int:
     """
     entropy: list[int] = []
     for part in (base_seed, *parts):
-        if isinstance(part, bool):
+        if isinstance(part, (bool, np.bool_)):  # np.bool_ is no bool subclass
             raise TypeError("booleans are ambiguous seed material")
         if isinstance(part, str):
             entropy.append(int.from_bytes(part.encode(), "little"))

@@ -12,6 +12,9 @@ linearly off the solution set) and weakly convex, so
   semismooth Newton augmented Lagrangian method on the linearized map as a
   matrix.  Each solve returns its duality gap, a certified bound on its
   suboptimality, and hands its multipliers and penalty on to the next solve.
+  A solve's gap tolerance follows a tightening schedule, loosened to a
+  fraction of (beta/2)||z||^2 of the previous outer step z while steps are
+  long, where an exact solve of a poor model is wasted.
 
 They also share one run loop, ``_run``: each solver only generates its
 iterates (the two subgradient methods differ only in their step rule), and
@@ -320,12 +323,15 @@ class LadProxResult(NamedTuple):
 
 
 def _gap_tolerance(k: int) -> float:
-    """Duality-gap tolerance 1e-3 * 4^(-k) for the k-th prox-linear step.
+    """Scheduled duality-gap tolerance 1e-3 * 4^(-k) for the k-th prox-linear step.
 
     The outer loop's final accuracy is capped by how well its last
-    subproblems were solved, so the tolerance tightens geometrically; at
+    subproblems were solved, so the schedule tightens geometrically; at
     quartering it stays ahead of the quadratic outer convergence within a
-    20-step budget.
+    20-step budget.  It is a floor: ``_prox_linear_iterates`` loosens a solve
+    to ``_STEP_TOLERANCE`` (beta/2)||z||^2 of the previous step z when that
+    is larger, which it is only in the far phase, before the quadratic rate
+    sets in.
     """
     return 1e-3 * 4.0**-k
 
@@ -333,6 +339,10 @@ def _gap_tolerance(k: int) -> float:
 # Augmented-Lagrangian penalty growth per multiplier update; a cold solve
 # starts the penalty at 1/m, the scale of the 1/m objective weight.
 _SIGMA_GROWTH = 3.0
+# A solve's gap tolerance is at least this times (beta/2)||z||^2, z the outer
+# step before it: summable when the steps are square-summable, as inexact
+# prox-linear needs (Drusvyatskiy & Paquette, Math. Program. 2019).
+_STEP_TOLERANCE = 0.2
 # Newton steps one LAD-prox solve may take before it reports exhaustion.
 _MAX_NEWTON = 200
 
@@ -516,6 +526,7 @@ def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPai
     a_mat, y_tilde = linearized_residual_operator(inst, p)
     yield p, float(np.abs(y_tilde).mean()), 0.0, {}
     duals = sigma = None
+    step = 0.0
     for k in itertools.count(1):
         result = admm_lad_prox(
             a_mat,
@@ -523,7 +534,7 @@ def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPai
             y_tilde,
             cfg.prox_beta,
             region=cfg.region,
-            eps=_gap_tolerance(k),
+            eps=max(_gap_tolerance(k), _STEP_TOLERANCE * 0.5 * cfg.prox_beta * step**2),
             center=-np.concatenate([p.w, p.x]),
             duals=duals,
             sigma=sigma,
@@ -554,7 +565,11 @@ def prox_linear(
 
     Each outer iteration k linearizes the bilinear map at the current point
     and minimizes model + (beta/2)||displacement||^2 until the duality gap is
-    at most ``_gap_tolerance(k)``; the displacement is added to the point.
+    at most the larger of ``_gap_tolerance(k)`` and ``_STEP_TOLERANCE``
+    (beta/2)||z||^2, with z the previous displacement (none for k = 1); the
+    displacement is added to the point.  (beta/2)||z||^2 is at most the
+    previous subproblem's value P(z), so a loosened tolerance stays a
+    fraction of the objective.
     With ``cfg.region`` the displacement is confined so that the new point
     stays in the region.  Each inner solve starts from the previous one's
     final multipliers (zero for the first): successive linearizations share

@@ -60,6 +60,14 @@ class TestDeriveSeed:
         with pytest.raises(TypeError):
             derive_seed(0, True)
 
+    @pytest.mark.parametrize("flag", [np.True_, np.False_], ids=["true", "false"])
+    def test_rejects_numpy_booleans(self, flag):
+        # NumPy's bool is no bool subclass: np.True_ seeded the stream of 1
+        with pytest.raises(TypeError):
+            derive_seed(0, flag)
+        with pytest.raises(TypeError):
+            derive_seed(flag, "phase")
+
     def test_base_seed_is_judged_like_every_part(self):
         # the base seed was taken as int(base_seed): 1.5 and True collided with 1
         assert derive_seed(1.5, "phase", 8, 0) != derive_seed(1, "phase", 8, 0)
@@ -152,6 +160,9 @@ class TestExperimentSpec:
                          id="p_fail-bool"),
             pytest.param({"sigmas": (True,)}, "'sigmas': True.*ambiguous seed material",
                          id="sigma-bool"),
+            # NumPy's bool passed the bool checks, and np.True_ drew the cells of c = 1
+            pytest.param({"kind": "init", "m_ratios": (np.True_,)},
+                         "'m_ratios': .*True.*ambiguous seed material", id="c-numpy-bool"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):
@@ -431,7 +442,7 @@ class TestTableBytes:
                 dict(kind="convergence", m_ratios=(4, 6), p_fails=(0.1,), trials=2,
                      solver="proxlinear", init="random-heuristic",
                      solver_config=SolverConfig(max_iters=3)),
-                "bb912ec98ad191a2dd5bceaea4658a475888df45c1801bb10b30efa16e5174fa",
+                "dd9a28f75c23f624fdbc83e6321d592e0b025b80bbf1885cbe7a6aa9407fe38d",
                 id="convergence",
             ),
             pytest.param(
