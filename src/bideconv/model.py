@@ -380,7 +380,7 @@ def linearized_residual_operator(
         raise DimensionError("base pair dimensions do not match the instance")
     lw = inst.op.left.apply_forward(base.w)
     rx = inst.op.right.apply_forward(base.x)
-    a_mat = np.hstack(
-        [rx[:, None] * inst.op.left.to_dense(), lw[:, None] * inst.op.right.to_dense()]
-    )
+    a_mat = np.empty((inst.m, inst.d1 + inst.d2))
+    np.multiply(rx[:, None], inst.op.left.to_dense(), out=a_mat[:, : inst.d1])
+    np.multiply(lw[:, None], inst.op.right.to_dense(), out=a_mat[:, inst.d1 :])
     return a_mat, inst.y - lw * rx

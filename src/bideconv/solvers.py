@@ -32,7 +32,10 @@ Each penalty stage ends on one fresh residual, which certifies the duality
 gap and starts the next stage.  Successive solves of one prox-linear run
 share their penalty as well as their multipliers: a solve starts at the
 geometric mean of the cold start 1/m and the penalty the previous solve
-ended on, and grows it 3x per stage.
+ended on, and grows it 3x per stage.  Within one solve the linearized map is
+fixed, so the Gram matrix of a Newton step's active rows is carried to the
+next step and updated by the rows that enter or leave the active set; it is
+rebuilt from the active rows when those changes are at least as many.
 """
 
 from __future__ import annotations
@@ -264,11 +267,14 @@ def _subgradient_iterates(
 
 def polyak_min_value(min_value: float | None, outlier_count: int) -> float:
     """Polyak's target value: ``min_value``, else zero if no measurement is
-    corrupted; otherwise the planted residuals do not vanish, so it is unknown."""
+    corrupted; otherwise the planted residuals do not vanish, so it is unknown.
+    The refusal names both remedies: the library's ``SolverConfig.min_value``,
+    which no command-line flag sets, and the solvers that need no such value."""
     if min_value is None and outlier_count > 0:
         raise ValueError(
             "corrupted instance: the minimal objective value is unknown; "
-            "pass min_value explicitly to run the value-gap method"
+            "set SolverConfig.min_value to run the value-gap method, "
+            "or run --solver geometric|proxlinear, which need no min_value"
         )
     return 0.0 if min_value is None else min_value
 
@@ -347,6 +353,32 @@ _STEP_TOLERANCE = 0.2
 _MAX_NEWTON = 200
 
 
+def _active_gram(
+    a_mat: np.ndarray, active: np.ndarray, gram: np.ndarray | None, last: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix A_J^T A_J of the rows J = ``active`` of ``a_mat``, and J.
+
+    ``gram`` is A_K^T A_K for the rows K = ``last`` (both None when there is
+    none yet).  It is updated in place by the rows that enter J (added) and
+    leave it (subtracted) when they are fewer than the rows of J, and rebuilt
+    from J otherwise: each way is one symmetric product (``syrk``) per set of
+    rows, so its cost follows its row count, and each keeps the matrix
+    symmetric to the bit.
+    """
+    if gram is not None:
+        changed = active != last
+        count = np.count_nonzero(changed)
+        if count < np.count_nonzero(active):
+            if count:
+                entering = np.compress(changed & active, a_mat, axis=0)
+                leaving = np.compress(changed & last, a_mat, axis=0)
+                gram += entering.T @ entering
+                gram -= leaving.T @ leaving
+            return gram, active
+    rows = np.compress(active, a_mat, axis=0)
+    return rows.T @ rows, active
+
+
 def admm_lad_prox(
     a_mat: np.ndarray,
     d1: int,
@@ -383,7 +415,11 @@ def admm_lad_prox(
     are evaluated at z projected onto the balls, which is what it returns.
 
     A is the m x n matrix ``a_mat``, so the solve makes no operator
-    products.  Each Newton system is factored and solved by the direct LAPACK
+    products.  The Gram matrix A_J^T A_J is kept across the Newton steps and
+    penalty stages of the call and updated in place by the rows that enter or
+    leave J, unless those are at least as many as the rows of J, which is
+    when rebuilding it from J costs less (``_active_gram``).  Each Newton
+    system is factored and solved by the direct LAPACK
     calls ``cho_factor`` and ``cho_solve``; the Newton matrix is symmetric to
     the bit, so it reaches ``dpotrf`` as its Fortran-ordered transpose and is
     factored in place, uncopied.  Each Newton step forms A step once, and the
@@ -410,7 +446,8 @@ def admm_lad_prox(
     elif not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     clip = region is not None
-    center = np.zeros(n) if center is None else center
+    if clip and center is None:
+        center = np.zeros(n)
     u, u2 = (np.zeros(m), np.zeros(n)) if duals is None else duals
     blocks = (slice(0, d1), slice(d1, n))
 
@@ -448,15 +485,15 @@ def admm_lad_prox(
 
     z = np.zeros(n)
     t = -y_tilde  # the residual at z = 0
+    gram = active = None  # A_J^T A_J and J of the last Newton step, kept across stages
     newton = 0
     converged = False
     for _ in range(_MAX_NEWTON):  # multiplier updates, capped too so no solve can spin
         value, cap, out = phi(z, t, sigma)
         grad, atc = gradient(z, sigma, cap, out)
         while newton < _MAX_NEWTON and math.sqrt(grad @ grad) > eps:
-            rows = np.compress(np.abs(cap) < tau, a_mat, axis=0)
-            hess = rows.T @ rows
-            hess *= sigma
+            gram, active = _active_gram(a_mat, np.abs(cap) < tau, gram, active)
+            hess = sigma * gram
             hess.reshape(-1)[:: n + 1] += beta
             if clip:
                 w = z + u2 / sigma
@@ -468,9 +505,9 @@ def admm_lad_prox(
                         hess[part, part] += sigma * (
                             (1.0 - ratio) * np.eye(q.size) + ratio / norm**2 * np.outer(q, q)
                         )
-            # hess is symmetric to the bit (syrk fills one triangle from the
-            # other; the ball terms are symmetric), so hess.T is the same
-            # matrix in Fortran order, which dpotrf factors in place
+            # hess is symmetric to the bit (each syrk behind the Gram fills one
+            # triangle from the other; the ball terms are symmetric), so hess.T
+            # is the same matrix in Fortran order, which dpotrf factors in place
             step = cho_solve(cho_factor(hess.T), grad)
             np.negative(step, out=step)
             slope = float(grad @ step)
@@ -535,7 +572,7 @@ def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPai
             cfg.prox_beta,
             region=cfg.region,
             eps=max(_gap_tolerance(k), _STEP_TOLERANCE * 0.5 * cfg.prox_beta * step**2),
-            center=-np.concatenate([p.w, p.x]),
+            center=None if cfg.region is None else -np.concatenate([p.w, p.x]),
             duals=duals,
             sigma=sigma,
         )

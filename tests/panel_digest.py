@@ -55,8 +55,9 @@ from workloads import WORKLOADS  # noqa: E402
 
 INSTANCES = 6
 # a converge run, whose stdout is the per-cell median summary, an n2 run, a
-# random-heuristic start, a Hadamard phase grid over two c and a prox-linear
-# solve on a Hadamard left side
+# random-heuristic start, a Hadamard phase grid over two c and two prox-linear
+# solves on a Hadamard left side, the second at n = d1 + d2 = 128, where most
+# Newton matrices come from the rows that enter or leave the active set
 EXTRA_COMMANDS = [
     "converge --d1 10 --d2 10 --c 4,6 --pfail 0.1 --trials 3 --solver geometric --q 0.95"
     " --iters 300 --seed 2",
@@ -65,6 +66,7 @@ EXTRA_COMMANDS = [
     "phase --d1 16 --d2 16 --c 4,8 --pfail 0.05,0.1 --left hadamard --trials 2 --solver geometric"
     " --iters 300 --seed 3",
     "solve --d1 16 --d2 16 --c 8 --pfail 0.1 --left hadamard --solver proxlinear --seed 2",
+    "solve --d1 64 --d2 64 --c 8 --pfail 0.05 --left hadamard --solver proxlinear --seed 700",
 ]
 
 

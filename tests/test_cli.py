@@ -260,6 +260,16 @@ class TestExitCodes:
         assert "min_value" in err
         assert solves == []
 
+    def test_polyak_refusal_names_a_remedy_the_command_line_has(self, capsys):
+        # no flag or config key sets min_value, so the refusal must also name
+        # the solvers that need none
+        argv = ["phase", "--d1", "8", "--d2", "8", "--c", "4", "--pfail", "0.25", "--trials",
+                "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "--solver geometric|proxlinear" in err
+        assert "min_value" in err
+
     @pytest.mark.parametrize(
         "error",
         [

@@ -442,7 +442,7 @@ class TestTableBytes:
                 dict(kind="convergence", m_ratios=(4, 6), p_fails=(0.1,), trials=2,
                      solver="proxlinear", init="random-heuristic",
                      solver_config=SolverConfig(max_iters=3)),
-                "dd9a28f75c23f624fdbc83e6321d592e0b025b80bbf1885cbe7a6aa9407fe38d",
+                "bf63cc411387797638799993d1bc09049f6344bf6a592f832cd8abdff359669c",
                 id="convergence",
             ),
             pytest.param(

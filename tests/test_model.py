@@ -335,6 +335,21 @@ class TestLinearization:
         np.testing.assert_allclose(forward, dense @ z, atol=1e-10)
         np.testing.assert_allclose(transpose, dense.T @ u, atol=1e-10)
 
+    @pytest.mark.parametrize("left", ["gaussian", "hadamard"])
+    def test_matrix_is_the_stacked_scaled_sides_bit_for_bit(self, left):
+        # the two scaled blocks are written into one matrix; each entry is
+        # the same single product as in the stacked formula
+        inst = generate_instance(8, 6, 48, left=left, noise=NoiseSpec.gaussian(0.2), seed=42)
+        base = SignalPair(w=np.linspace(-1.0, 1.0, 8), x=np.linspace(0.5, 2.0, 6))
+        a_mat, y_tilde = linearized_residual_operator(inst, base)
+        lw = inst.op.left.apply_forward(base.w)
+        rx = inst.op.right.apply_forward(base.x)
+        stacked = np.hstack(
+            [rx[:, None] * inst.op.left.to_dense(), lw[:, None] * inst.op.right.to_dense()]
+        )
+        np.testing.assert_array_equal(a_mat, stacked)
+        np.testing.assert_array_equal(y_tilde, inst.y - lw * rx)
+
     def test_model_accuracy_identity_and_bound(self):
         rng = np.random.default_rng(47)
         inst = generate_instance(3, 3, 15, noise=NoiseSpec.gaussian(0.2), seed=47)

@@ -444,6 +444,81 @@ class TestNewtonFactor:
             solvers.cho_factor(np.array(hess))
 
 
+class TestActiveGram:
+    """The Gram matrix A_J^T A_J that each Newton step carries on to the next."""
+
+    def test_each_branch_gives_the_gram_of_the_active_rows(self):
+        rng = np.random.default_rng(7)
+        a_mat = rng.standard_normal((40, 6))
+        mask = np.arange(40) < 30
+        gram, last = solvers._active_gram(a_mat, mask, None, None)
+        np.testing.assert_array_equal(gram, a_mat[:30].T @ a_mat[:30])
+        # no row changes: the same matrix, untouched
+        kept = gram.copy()
+        same, _ = solvers._active_gram(a_mat, mask.copy(), gram, last)
+        assert same is gram
+        np.testing.assert_array_equal(same, kept)
+        # two rows leave and one enters, fewer than the 29 active: in place
+        moved = mask.copy()
+        moved[[3, 17, 35]] = [False, False, True]
+        updated, last = solvers._active_gram(a_mat, moved, gram, last)
+        assert updated is gram
+        np.testing.assert_allclose(updated, a_mat[moved].T @ a_mat[moved], rtol=1e-13, atol=1e-13)
+        # all 40 rows change against 11 active: rebuilt from the active rows
+        flipped = ~moved
+        rebuilt, _ = solvers._active_gram(a_mat, flipped, updated, last)
+        assert rebuilt is not updated
+        np.testing.assert_array_equal(rebuilt, a_mat[flipped].T @ a_mat[flipped])
+
+    @pytest.mark.parametrize("region", [None, FeasibleRegion(radius=1.5)],
+                             ids=["unconstrained", "region"])
+    def test_stays_the_fresh_gram_along_a_solve(self, monkeypatch, region):
+        # the instances of test_solve_is_pinned_bit_for_bit; dpotrf factors
+        # hess.T in place as the same matrix, so each must be symmetric to the bit
+        branches = {"rebuilt": 0, "unchanged": 0, "updated": 0}
+        factored = []
+
+        def checked(a_mat, active, gram, last):
+            kept = None if gram is None else gram.copy()
+            result, mask = active_gram(a_mat, active, gram, last)
+            rows = a_mat[active]
+            fresh = rows.T @ rows
+            np.testing.assert_array_equal(result, result.T)
+            assert np.abs(result - fresh).max() <= 1e-12 * np.abs(fresh).max()
+            if result is not gram:
+                branches["rebuilt"] += 1
+            elif np.array_equal(active, last):
+                np.testing.assert_array_equal(result, kept)
+                branches["unchanged"] += 1
+            else:
+                branches["updated"] += 1
+            return result, mask
+
+        def symmetric_factor(a):
+            factored.append(np.array_equal(a, a.T))
+            return cho_factor(a)
+
+        active_gram, cho_factor = solvers._active_gram, solvers.cho_factor
+        monkeypatch.setattr(solvers, "_active_gram", checked)
+        monkeypatch.setattr(solvers, "cho_factor", symmetric_factor)
+        if region is None:
+            inst = generate_instance(
+                32, 32, 512, noise=NoiseSpec.gaussian(0.25, sigma=1.0), seed=403
+            )
+            est = spectral_initialize(inst)
+            start = SignalPair(w=est.w0, x=est.x0)
+            cfg = SolverConfig(max_iters=20, tol_rel_err=1e-8)
+        else:
+            inst = generate_instance(10, 10, 160, seed=1, magnitude=4.0)
+            rng = np.random.default_rng(0)
+            start = SignalPair(w=rng.standard_normal(10), x=rng.standard_normal(10))
+            cfg = SolverConfig(max_iters=10, region=region)
+        _, trace = prox_linear(inst, start, cfg)
+        assert sum(branches.values()) == len(factored) == sum(trace.column("inner_iters"))
+        assert all(factored)
+        assert min(branches.values()) > 0, branches
+
+
 class TestProxLinear:
     def test_single_outer_matches_grid_oracle(self, monkeypatch):
         monkeypatch.setattr(solvers, "_gap_tolerance", lambda k: 1e-8)
@@ -520,11 +595,11 @@ class TestProxLinear:
         "region, records, newton, error, value",
         [
             # a proxlinear-dense benchmark instance (d = 32, m = 512) from its spectral start
-            pytest.param(None, 11, 73, "0x1.8afa29b360029p-29", "0x1.aba5716a35934p-3",
+            pytest.param(None, 11, 73, "0x1.8afa29d9d1d99p-29", "0x1.aba5716a35934p-3",
                          id="unconstrained"),
             # the balls bind here (see test_region_confines_the_iterate), so the
             # ball terms of the Newton steps and line search are exercised
-            pytest.param(FeasibleRegion(radius=1.5), 11, 173, "0x1.f05b458b254a0p-2",
+            pytest.param(FeasibleRegion(radius=1.5), 11, 173, "0x1.f05b458b254a1p-2",
                          "0x1.c9edb05ef1878p-1", id="region"),
         ],
     )
@@ -627,6 +702,8 @@ class TestProxLinear:
         assert len(calls) == 8
         first_kwargs, first = calls[0]
         assert first_kwargs["duals"] is None and first_kwargs["sigma"] is None
+        # only a region reads the balls' center, so none is built without one
+        assert all(kwargs["center"] is None for kwargs, _ in calls)
         a_mat, y_tilde = linearized_residual_operator(inst, start)
         explicit = admm_lad_prox(a_mat, inst.d1, y_tilde, cfg.prox_beta, eps=first_kwargs["eps"],
                                  center=first_kwargs["center"], sigma=1.0 / inst.m)
