@@ -30,7 +30,6 @@ from .model import (
     ProblemInstance,
     SignalPair,
     generate_instance,
-    objective,
     objective_and_subgradient,
 )
 from .solvers import (
@@ -67,7 +66,6 @@ __all__ = [
     "fwht",
     "generate_instance",
     "geometric_subgradient",
-    "objective",
     "objective_and_subgradient",
     "polyak_subgradient",
     "prox_linear",

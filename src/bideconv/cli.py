@@ -18,23 +18,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
 from dataclasses import fields, replace
 from typing import Any, Callable
-
-import numpy as np
 
 from .experiments import (
     CHOICES,
     KINDS,
     NOISE_KINDS,
-    SOLVER_FUNCTIONS,
     ExperimentSpec,
     ResultTable,
     emit_csv,
-    initial_point,
     make_instance,
-    run_experiment,
+    median_final_errors,
+    run_trials,
+    solve_instance,
 )
 from .geometry import estimate_rip_constants
 from .solvers import SolverConfig
@@ -167,9 +164,8 @@ def _maybe_emit(table: ResultTable, out: str | None) -> None:
 
 def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
     inst = make_instance(spec, (), spec.base_seed)
-    start = initial_point(inst, spec.init)
-    cfg = replace(spec.solver_config, decay_q=spec.qs[0], tol_rel_err=spec.success_threshold)
-    final, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, cfg)
+    stop = replace(spec.solver_config, tol_rel_err=spec.success_threshold)
+    _, trace = solve_instance(inst, replace(spec, solver_config=stop), spec.qs[0])
     print("iteration  objective      rel_error      step_size      matvecs")
     for r in trace.records:
         print(
@@ -188,35 +184,17 @@ def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
     )
     table = ResultTable()
     for r in trace.records:
-        config = (("iteration", r.iteration),)
-        table.add(config, "objective", r.objective)
-        table.add(config, "relative_error", r.relative_error)
-        table.add(config, "step_size", r.step_size)
-        table.add(config, "matvecs", r.matvecs)
+        for statistic in ("objective", "relative_error", "step_size", "matvecs"):
+            table.add((("iteration", r.iteration),), statistic, getattr(r, statistic))
     _maybe_emit(table, out)
     return 0
 
 
-def _final_error_medians(table: ResultTable) -> ResultTable:
-    """Per cell of a convergence table, the median over trials of each
-    trial's last relative error, in one scan of the rows."""
-    finals = {}
-    for row in table.rows:  # a trial's iterations are added in order
-        if row.statistic == "relative_error":
-            finals[row.config[:-1]] = row.value  # the cell and the trial
-    cells = defaultdict(list)
-    for config, value in finals.items():
-        cells[config[:-1]].append(value)
-    summary = ResultTable()
-    for cell, values in cells.items():
-        summary.add(cell, "median_final_error", float(np.median(values)))
-    return summary
-
-
 def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
-    table = run_experiment(spec)
+    records = run_trials(spec)
+    table = KINDS[spec.kind][1](spec, records)
     # the full convergence trace table is large; print per-cell final errors only
-    shown = _final_error_medians(table) if spec.kind == "convergence" else table
+    shown = median_final_errors(spec, records) if spec.kind == "convergence" else table
     for row in shown.sorted_rows():
         config = ";".join(f"{k}={v}" for k, v in row.config)
         print(f"{config}  {row.statistic} = {row.value:.10g}")

@@ -1,12 +1,14 @@
-"""Seeded Monte-Carlo experiment drivers with CSV output.
+"""Seeded Monte-Carlo experiments with CSV output.
 
-``KINDS`` maps each experiment kind to the grids it fans out over and the
-runner that reduces its trials to a table.  ``trial_instances`` is the one
-place trials are seeded: it enumerates a spec's cells and trials and draws
-each trial's instance from the base seed plus the cell's parameter VALUES
-(not grid positions), so a cell's result is a pure function of its
-configuration: reordering, subsetting, or parallelizing the grid cannot
-change any number in the output table.
+An experiment runs ``trials`` trials in each cell of the grids its kind fans
+out over.  ``run_trial`` does one trial's whole work and returns its
+``TrialRecord``; ``trial_instance``, the one seeding rule, draws the trial's
+instance from the base seed plus the cell's parameter VALUES (not grid
+positions), so a record is a pure function of the spec, the cell and the
+trial number: reordering, subsetting, or parallelizing the trials cannot
+change any number in the output table.  ``KINDS`` maps each kind to its grids
+and the reducer that turns the records of ``run_trials`` into a table, which
+is all ``run_experiment`` does.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,7 +134,7 @@ class ExperimentSpec:
             raise ValueError("success_threshold must be positive")
         for values in itertools.product(*(getattr(self, name) for name in grids)):
             try:
-                derive_seed(self.base_seed, self.kind, *values, 0)  # as trial_instances does
+                derive_seed(self.base_seed, self.kind, *values, 0)  # as trial_instance does
             except TypeError as exc:
                 raise ValueError(f"cell {dict(zip(grids, values))}: {exc}") from exc
         if self.solver == "polyak" and self.kind != "init":  # init runs no solver
@@ -231,104 +233,131 @@ def initial_point(inst: ProblemInstance, init: str) -> SignalPair:
 def solve_instance(
     inst: ProblemInstance, spec: ExperimentSpec, q: float
 ) -> tuple[SignalPair, Trace]:
-    """Initialize and solve one instance at decay rate ``q``; a diverged run
-    raises RuntimeError."""
+    """Initialize and solve one instance at decay rate ``q``.  A diverged run
+    returns like any other, with ``trace.diverged`` set, for the caller to
+    check."""
     start = initial_point(inst, spec.init)
-    cfg = replace(spec.solver_config, decay_q=q)
-    point, trace = SOLVER_FUNCTIONS[spec.solver](inst, start, cfg)
-    if trace.diverged:
-        raise RuntimeError(
-            f"solver diverged on instance seed {inst.seed}: "
-            f"non-finite objective at iteration {trace.final.iteration}"
-        )
-    return point, trace
+    return SOLVER_FUNCTIONS[spec.solver](inst, start, replace(spec.solver_config, decay_q=q))
 
 
-def trial_instances(spec: ExperimentSpec) -> Iterator[tuple[Config, int, ProblemInstance]]:
-    """Every ``(cell, trial, instance)`` of the spec, cell by cell in grid order.
+def trial_instance(spec: ExperimentSpec, cell: Config, trial: int) -> ProblemInstance:
+    """The instance of trial ``trial`` of ``cell``.
 
     A cell is the config of the grids its kind fans out over, e.g.
     ``(("c", 8), ("p_fail", 0.25), ("sigma", 1.0))``; the other grids hold one
-    value each.  Trial ``t`` of a cell draws its instance from
-    ``derive_seed(base_seed, kind, *cell values, t)``.
+    value each.  The instance is drawn from
+    ``derive_seed(base_seed, kind, *cell values, trial)``.
     """
+    seed = derive_seed(spec.base_seed, spec.kind, *(value for _, value in cell), trial)
+    return make_instance(spec, cell, seed)
+
+
+class TrialRecord(NamedTuple):
+    """One trial's outcome, as ``run_trial`` returns it; it pickles, so it can
+    come back from another process."""
+
+    cell: Config
+    trial: int
+    seed: int  # the instance's
+    trace: Trace | None  # None for an init trial, which runs no solver
+    error: float  # the final relative error; an init trial's direction error
+
+
+def run_trial(spec: ExperimentSpec, cell: Config, trial: int) -> TrialRecord:
+    """Trial ``trial`` of ``cell``, a pure function of its arguments: an init
+    trial measures the spectral start, any other solves at its cell's q."""
+    inst = trial_instance(spec, cell, trial)
+    if spec.kind == "init":
+        est = spectral_initialize(inst)
+        error = direction_error(est.w_dir, est.x_dir, inst.truth)
+        return TrialRecord(cell, trial, inst.seed, None, error)
+    _, trace = solve_instance(inst, spec, _cell_values(spec, cell)["q"])
+    return TrialRecord(cell, trial, inst.seed, trace, trace.final.relative_error)
+
+
+def run_trials(spec: ExperimentSpec) -> list[TrialRecord]:
+    """Every trial's record, cell by cell in grid order; a diverged solve
+    raises RuntimeError, naming its instance seed, once its record exists."""
     grids = KINDS[spec.kind][0]
+    records = []
     for values in itertools.product(*(getattr(spec, name) for name in grids)):
         cell: Config = tuple(zip((GRID_KEYS[name] for name in grids), values))
         for trial in range(spec.trials):
-            seed = derive_seed(spec.base_seed, spec.kind, *values, trial)
-            yield cell, trial, make_instance(spec, cell, seed)
+            records.append(record := run_trial(spec, cell, trial))
+            if record.trace is not None and record.trace.diverged:
+                raise RuntimeError(
+                    f"solver diverged on instance seed {record.seed}: "
+                    f"non-finite objective at iteration {record.trace.final.iteration}"
+                )
+    return records
 
 
-def run_convergence(spec: ExperimentSpec) -> ResultTable:
+def _per_cell(records: list[TrialRecord], **statistics) -> ResultTable:
+    """A table of each named statistic, a function of a list of errors, of
+    every cell's trial errors."""
+    errors = defaultdict(list)
+    for record in records:
+        errors[record.cell].append(record.error)
+    table = ResultTable()
+    for cell, values in errors.items():
+        for statistic, reduce in statistics.items():
+            table.add(cell, statistic, reduce(values))
+    return table
+
+
+def _convergence_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
     """Per-iteration error traces for every (c, p_fail, sigma, trial)."""
     table = ResultTable()
-    for cell, trial, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec, _cell_values(spec, cell)["q"])
-        for record in trace.records:
-            config = cell + (("trial", trial), ("iteration", record.iteration))
-            table.add(config, "relative_error", record.relative_error)
-            table.add(config, "objective", record.objective)
-            table.add(config, "matvecs", record.matvecs)
+    for cell, trial, _, trace, _ in records:
+        for r in trace.records:
+            config = cell + (("trial", trial), ("iteration", r.iteration))
+            for statistic in ("relative_error", "objective", "matvecs"):
+                table.add(config, statistic, getattr(r, statistic))
     return table
 
 
-def _final_errors(spec: ExperimentSpec) -> dict[Config, list[float]]:
-    """Each cell's final relative errors, every trial solved at its cell's q."""
-    finals = defaultdict(list)
-    for cell, _, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec, _cell_values(spec, cell)["q"])
-        finals[cell].append(trace.final.relative_error)
-    return finals
+def median_final_errors(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
+    """Each cell's median final relative error over its trials."""
+    return _per_cell(records, median_final_error=np.median)
 
 
-def run_phase_transition(spec: ExperimentSpec) -> ResultTable:
+def _phase_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
     """Success-rate grid over (c, p_fail, sigma): fraction of trials whose
-    final relative error is at or below the success threshold."""
-    table = ResultTable()
-    for cell, errors in _final_errors(spec).items():
-        successes = sum(error <= spec.success_threshold for error in errors)
-        table.add(cell, "success_rate", successes / spec.trials)
-        table.add(cell, "median_final_error", float(np.median(errors)))
-    return table
+    final relative error is at or below the success threshold, and the median
+    final error."""
+
+    def success_rate(errors: list[float]) -> float:
+        return sum(error <= spec.success_threshold for error in errors) / spec.trials
+
+    return _per_cell(records, success_rate=success_rate, median_final_error=np.median)
 
 
-def run_q_sweep(spec: ExperimentSpec) -> ResultTable:
-    """Mean final error of the geometric method per (c, q) cell, each cell's
-    trials run at its q, at the spec's p_fail and sigma (a qsweep spec holds
-    one of each and names the geometric solver)."""
-    table = ResultTable()
-    for cell, errors in _final_errors(spec).items():
-        table.add(cell, "mean_final_error", float(np.mean(errors)))
-    return table
+def _qsweep_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
+    """Mean final error of the geometric method per (c, q) cell, at the spec's
+    one p_fail and sigma."""
+    return _per_cell(records, mean_final_error=np.mean)
 
 
-def run_init_quality(spec: ExperimentSpec) -> ResultTable:
+def _init_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
     """Initialization accuracy per (c, p_fail, sigma) cell.
 
     Emits the per-trial direction errors (sign-invariant distance between the
     unit rank-one matrices) plus their per-cell median, the statistic used to
     judge robustness to growing corruption magnitude.
     """
-    table = ResultTable()
-    errors = defaultdict(list)
-    for cell, trial, inst in trial_instances(spec):
-        est = spectral_initialize(inst)
-        err = direction_error(est.w_dir, est.x_dir, inst.truth)
-        errors[cell].append(err)
-        table.add(cell + (("trial", trial),), "direction_error", err)
-    for cell, cell_errors in errors.items():
-        table.add(cell, "median_direction_error", float(np.median(cell_errors)))
+    table = _per_cell(records, median_direction_error=np.median)
+    for record in records:
+        table.add(record.cell + (("trial", record.trial),), "direction_error", record.error)
     return table
 
 
-# kind -> (the grids it fans out over, its runner); a kind runs at the one
-# value of every other grid
+# kind -> (the grids it fans out over, the reducer of its trial records to a
+# table); a kind runs at the one value of every other grid
 KINDS = {
-    "convergence": (("m_ratios", "p_fails", "sigmas"), run_convergence),
-    "phase": (("m_ratios", "p_fails", "sigmas"), run_phase_transition),
-    "qsweep": (("m_ratios", "qs"), run_q_sweep),
-    "init": (("m_ratios", "p_fails", "sigmas"), run_init_quality),
+    "convergence": (("m_ratios", "p_fails", "sigmas"), _convergence_table),
+    "phase": (("m_ratios", "p_fails", "sigmas"), _phase_table),
+    "qsweep": (("m_ratios", "qs"), _qsweep_table),
+    "init": (("m_ratios", "p_fails", "sigmas"), _init_table),
 }
 
 
@@ -338,7 +367,7 @@ CHOICES = {"kind": KINDS, "solver": SOLVER_FUNCTIONS, "init": STARTS, "noise_kin
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    return KINDS[spec.kind][1](spec)
+    return KINDS[spec.kind][1](spec, run_trials(spec))
 
 
 def _format_value(value: int | float | str) -> str:

@@ -336,12 +336,6 @@ def generate_instance(
     return ProblemInstance(op=op, y=y, truth=truth, outlier_mask=mask, seed=seed)
 
 
-def objective(inst: ProblemInstance, p: SignalPair) -> float:
-    """Mean absolute residual (1/m) * sum_i |<l_i,w><r_i,x> - y_i|."""
-    resid = inst.op.bilinear_forward(p.w, p.x) - inst.y
-    return float(np.abs(resid).mean())
-
-
 def objective_and_subgradient(inst: ProblemInstance, p: SignalPair) -> tuple[float, np.ndarray]:
     """Objective value and a stacked subgradient, sharing operator products.
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
@@ -102,20 +102,17 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# Objective decrease below which the stall counter does not reset.
-_STALL_TOL = 1e-14
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared solver parameters; each algorithm reads the subset it needs.
 
     ``max_iters=None`` runs the solver's own budget (Polyak 500, geometric
-    2,000, prox-linear 20); the stall stop is off unless ``stall_window`` is
-    set.  ``min_value=None`` means "not supplied": the value-gap method treats
-    a noiseless instance as having minimum zero but refuses corrupted
-    instances, where the minimal value is unknown and silently assuming zero
-    would chase a phantom gap.
+    2,000, prox-linear 20).  ``min_value=None`` means "not supplied": the
+    value-gap method treats a noiseless instance as having minimum zero but
+    refuses corrupted instances, where the minimal value is unknown and
+    silently assuming zero would chase a phantom gap.  No run stops on a
+    stalled objective: ``stall_window`` is no field but a keyword that must be
+    None, kept because the benchmark's configs still pass it.
     """
 
     max_iters: int | None = None
@@ -125,13 +122,13 @@ class SolverConfig:
     prox_beta: float = 1.0
     region: FeasibleRegion | None = None
     tol_rel_err: float = 0.0
-    stall_window: int | None = None
+    stall_window: InitVar[None] = None
 
-    def __post_init__(self) -> None:
-        for name in ("max_iters", "stall_window"):
-            value = getattr(self, name)
-            if not (value is None or is_count(value)):
-                raise ValueError(f"{name} must be None or an integer >= 1, got {value!r}")
+    def __post_init__(self, stall_window: None) -> None:
+        if stall_window is not None:
+            raise ValueError(f"no run stops on a stall; stall_window must be None: {stall_window}")
+        if not (self.max_iters is None or is_count(self.max_iters)):
+            raise ValueError(f"max_iters must be None or an integer >= 1, got {self.max_iters!r}")
         if not 0.0 < self.decay_q < 1.0:
             raise ValueError(f"decay_q must lie in (0, 1), got {self.decay_q}")
         if not 0.0 < self.lambda0 < math.inf:
@@ -205,13 +202,11 @@ def _run(
     """Record what ``iterates`` yields from the projected start until a stop.
 
     The run ends at a non-finite objective (``Trace.diverged``), from
-    iteration 1 on at a relative error at or below ``cfg.tol_rel_err`` or
-    after ``cfg.stall_window`` iterations without an objective decrease of
-    more than ``_STALL_TOL``, after iteration ``cfg.max_iters`` (the solver's
-    ``budget`` when None), or when the iterates end at a stationary point.
+    iteration 1 on at a relative error at or below ``cfg.tol_rel_err``,
+    after iteration ``cfg.max_iters`` (the solver's ``budget`` when None), or
+    when the iterates end at a stationary point.
     """
     trace = Trace(max_iters=budget if cfg.max_iters is None else cfg.max_iters)
-    best_objective, last_improvement = math.inf, 0
     p = _project(start, cfg.region)
     with count_matvecs() as counter, np.errstate(over="ignore", invalid="ignore"):
         for k, (p, f, step, inner) in zip(range(trace.max_iters + 1), iterates(p)):
@@ -229,13 +224,7 @@ def _run(
             if not math.isfinite(f):
                 trace.diverged = True
                 break
-            if k == 0:
-                continue
-            if f < best_objective - _STALL_TOL:
-                best_objective, last_improvement = f, k
-            if cfg.tol_rel_err > 0.0 and error <= cfg.tol_rel_err:
-                break
-            if cfg.stall_window is not None and k - last_improvement >= cfg.stall_window:
+            if k > 0 and cfg.tol_rel_err > 0.0 and error <= cfg.tol_rel_err:
                 break
     return p, trace
 

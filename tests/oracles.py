@@ -108,6 +108,13 @@ def grid_dist_to_solution_set(
     return float(np.sqrt(max(best, 0.0)))
 
 
+def objective(inst, p) -> float:
+    """Mean absolute residual (1/m) * sum_i |<l_i,w><r_i,x> - y_i| of the pair
+    ``p`` on the instance ``inst``, from one bilinear product."""
+    resid = inst.op.bilinear_forward(p.w, p.x) - inst.y
+    return float(np.abs(resid).mean())
+
+
 def fd_gradient(fun, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of a vector."""
     point = np.asarray(point, dtype=np.float64)

@@ -11,19 +11,13 @@ import math
 import sys
 import time
 from collections import defaultdict
-from dataclasses import replace
 
 import numpy as np
 
 import pytest
 from verdicts import VERDICTS
 
-from bideconv.experiments import (
-    ExperimentSpec,
-    run_init_quality,
-    solve_instance,
-    trial_instances,
-)
+from bideconv.experiments import ExperimentSpec, run_experiment, run_trials, trial_instance
 from bideconv.geometry import SolutionSet, _dist_squared_many, dist_to_solution_set
 from bideconv.model import (
     GroundTruth,
@@ -163,7 +157,7 @@ def test_hadamard_left_fragility():
     below a_g|, the planted pair is not a sharp minimizer along l_g and there
     is nothing for a local method to converge to.  A trial is
     pattern-identifiable when no group is in that state.  The trials are the
-    ones ``run_phase_transition`` draws for this grid, so the verdict line
+    ones ``run_trials`` runs for this grid, so the verdict line
     reports successes / identifiable trials per c.
     """
     spec = ExperimentSpec(
@@ -182,10 +176,10 @@ def test_hadamard_left_fragility():
         qs=(0.98,),
     )
     outcomes = defaultdict(list)  # cell -> (success, identifiable) per trial
-    for cell, _, inst in trial_instances(spec):
-        _, trace = solve_instance(inst, spec, spec.qs[0])
-        success = trace.final.relative_error <= spec.success_threshold
-        outcomes[cell].append((success, count_unidentifiable_groups(inst) == 0))
+    for record in run_trials(spec):
+        inst = trial_instance(spec, record.cell, record.trial)
+        success = record.error <= spec.success_threshold
+        outcomes[record.cell].append((success, count_unidentifiable_groups(inst) == 0))
     counts, rates = [], []
     for trials in outcomes.values():  # c = 1..8
         successes = sum(success for success, _ in trials)
@@ -355,10 +349,11 @@ def test_init_robust_to_corruption_magnitude():
         trials=50,
         base_seed=800,
     )
-    table = run_init_quality(spec)
+    table = run_experiment(spec)
     med = {s: table.values("median_direction_error", sigma=s)[0] for s in spec.sigmas}
     keep_all = []
-    for _, _, inst in trial_instances(replace(spec, sigmas=(1e4,))):
+    for trial in range(spec.trials):
+        inst = trial_instance(spec, (("c", 8), ("p_fail", 0.25), ("sigma", 1e4)), trial)
         moments = build_direction_matrices(inst, np.arange(inst.m))
         keep_all.append(
             direction_error(

@@ -284,7 +284,7 @@ class TestExitCodes:
         def failing_start(*args):
             raise error
 
-        monkeypatch.setattr(cli, "initial_point", failing_start)
+        monkeypatch.setattr(experiments, "initial_point", failing_start)
         code, out, err = run(capsys, ["solve", *TINY, "--iters", "5"])
         assert (code, out) == (1, "")
         assert f"runtime failure: {error}" in err

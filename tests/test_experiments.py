@@ -3,21 +3,23 @@ contract, and small end-to-end Monte-Carlo runs of each driver."""
 
 import hashlib
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bideconv import experiments
 from bideconv.experiments import (
+    GRID_KEYS,
     ExperimentSpec,
     ResultTable,
     derive_seed,
     emit_csv,
     initial_point,
-    run_convergence,
     run_experiment,
-    run_init_quality,
-    run_phase_transition,
-    run_q_sweep,
+    run_trial,
+    run_trials,
 )
 from bideconv.model import corrupted_count, generate_instance
 from bideconv.solvers import SolverConfig
@@ -229,22 +231,22 @@ class TestRunConvergence:
             trials=2,
             solver_config=SolverConfig(max_iters=500, tol_rel_err=1e-7),
         )
-        table = run_convergence(spec)
+        table = run_experiment(spec)
         for trial in range(spec.trials):
             errs = table.values("relative_error", c=8, trial=trial)
             assert errs[-1] <= 1e-5
 
     def test_rerun_is_bit_identical(self):
         spec = small_spec(kind="convergence", trials=1)
-        a = run_convergence(spec)
-        b = run_convergence(spec)
+        a = run_experiment(spec)
+        b = run_experiment(spec)
         assert [(r.config, r.statistic, r.value) for r in a.sorted_rows()] == [
             (r.config, r.statistic, r.value) for r in b.sorted_rows()
         ]
 
     def test_emits_monotone_iteration_configs_with_matvecs(self):
         spec = small_spec(kind="convergence", trials=1)
-        table = run_convergence(spec)
+        table = run_experiment(spec)
         matvecs = table.values("matvecs", trial=0)
         assert matvecs == sorted(matvecs)
         assert matvecs[0] == 4.0
@@ -253,13 +255,13 @@ class TestRunConvergence:
 class TestRunPhaseTransition:
     def test_noiseless_well_posed_cell_always_succeeds(self):
         spec = small_spec(d1=12, d2=12, trials=4)
-        table = run_phase_transition(spec)
+        table = run_experiment(spec)
         assert table.values("success_rate", c=8)[0] == 1.0
 
     def test_cell_results_survive_grid_reordering_and_subsetting(self):
-        full = run_phase_transition(small_spec(m_ratios=(4, 8), trials=2))
-        reordered = run_phase_transition(small_spec(m_ratios=(8, 4), trials=2))
-        subset = run_phase_transition(small_spec(m_ratios=(8,), trials=2))
+        full = run_experiment(small_spec(m_ratios=(4, 8), trials=2))
+        reordered = run_experiment(small_spec(m_ratios=(8, 4), trials=2))
+        subset = run_experiment(small_spec(m_ratios=(8,), trials=2))
         for table in (reordered, subset):
             assert table.values("success_rate", c=8) == full.values(
                 "success_rate", c=8
@@ -281,7 +283,7 @@ class TestRunPhaseTransition:
             qs=(0.5,),
             solver_config=SolverConfig(max_iters=40),
         )
-        assert run_phase_transition(spec).values("median_final_error") == [0.2818004559664355]
+        assert run_experiment(spec).values("median_final_error") == [0.2818004559664355]
 
     def test_success_rate_monotone_in_oversampling(self):
         spec = small_spec(
@@ -294,7 +296,7 @@ class TestRunPhaseTransition:
             qs=(0.95,),
             success_threshold=1e-4,
         )
-        table = run_phase_transition(spec)
+        table = run_experiment(spec)
         low = table.values("success_rate", c=2)[0]
         high = table.values("success_rate", c=8)[0]
         assert high >= low - 0.10
@@ -310,7 +312,7 @@ class TestRunQSweep:
             solver="geometric",
             solver_config=SolverConfig(max_iters=60),
         )
-        table = run_q_sweep(spec)
+        table = run_experiment(spec)
         assert len(table) == 6
         for c in (4, 8):
             for q in (0.9, 0.95, 0.98):
@@ -328,7 +330,7 @@ class TestRunQSweep:
             solver="geometric",
             solver_config=SolverConfig(max_iters=150),
         )
-        table = run_q_sweep(spec)
+        table = run_experiment(spec)
         fast = table.values("mean_final_error", q=0.9)[0]
         slow = table.values("mean_final_error", q=0.995)[0]
         assert fast < slow
@@ -356,7 +358,7 @@ class TestRunInitQuality:
         spec = small_spec(
             kind="init", d1=10, d2=10, p_fails=(0.25,), sigmas=(1.0, 5.0), trials=5
         )
-        table = run_init_quality(spec)
+        table = run_experiment(spec)
         for sigma in (1.0, 5.0):
             trials = [
                 table.values("direction_error", sigma=sigma, trial=t)[0]
@@ -364,6 +366,65 @@ class TestRunInitQuality:
             ]
             med = table.values("median_direction_error", sigma=sigma)[0]
             assert med == float(np.median(trials))
+
+
+def record_key(record):
+    trace = None if record.trace is None else record.trace.records
+    return record.cell, record.trial, record.seed, record.error, repr(trace)
+
+
+class TestTrials:
+    """Each trial's record depends on its spec, cell and trial number alone,
+    so its trials may run in any order, on any subset of the grid."""
+
+    GEOMETRIC = dict(solver="geometric", solver_config=SolverConfig(max_iters=30))
+    SPECS = {
+        "convergence": dict(kind="convergence", m_ratios=(4, 6), p_fails=(0.1, 0.2), **GEOMETRIC),
+        "phase": dict(m_ratios=(4, 8), p_fails=(0.1, 0.2), **GEOMETRIC),
+        "qsweep": dict(kind="qsweep", m_ratios=(4, 8), p_fails=(0.1,), qs=(0.9, 0.95),
+                       **GEOMETRIC),
+        "init": dict(kind="init", p_fails=(0.1, 0.2), sigmas=(1.0, 10.0)),
+    }
+
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_a_record_depends_only_on_its_arguments(self, kind):
+        spec = small_spec(trials=2, **self.SPECS[kind])
+        records = run_trials(spec)
+        assert len(records) == 4 * spec.trials
+        expected = [record_key(record) for record in records]
+        backwards = [run_trial(spec, r.cell, r.trial) for r in reversed(records)]
+        assert [record_key(record) for record in reversed(backwards)] == expected
+        # a spec that holds only the last cell runs that cell's trials alone
+        cell = records[-1].cell
+        grid = {key: name for name, key in GRID_KEYS.items()}
+        subset = run_trials(replace(spec, **{grid[key]: (value,) for key, value in cell}))
+        assert [record_key(r) for r in subset] == [record_key(r) for r in records[-2:]]
+        for record in records:
+            values = [value for _, value in record.cell]
+            assert record.seed == derive_seed(spec.base_seed, kind, *values, record.trial)
+            assert record_key(pickle.loads(pickle.dumps(record))) == record_key(record)
+            assert (record.trace is None) == (kind == "init")
+
+    def test_a_diverged_trial_is_recorded_before_the_run_stops(self, monkeypatch):
+        returned = []
+
+        def recording(*args):
+            returned.append(run_trial(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(experiments, "run_trial", recording)
+        # the first step of length 1e300 overflows the objective
+        config = SolverConfig(max_iters=5, lambda0=1e300)
+        spec = small_spec(solver="geometric", solver_config=config)
+        with pytest.raises(RuntimeError) as raised:
+            run_trials(spec)
+        assert len(returned) == 1
+        record = returned[0]
+        assert record.trace.diverged
+        assert str(raised.value) == (
+            f"solver diverged on instance seed {record.seed}: "
+            f"non-finite objective at iteration {record.trace.final.iteration}"
+        )
 
 
 class TestInitialPoint:
@@ -405,8 +466,8 @@ class TestEmitCsv:
     def test_identical_runs_give_identical_bytes(self, tmp_path):
         spec = small_spec(trials=2)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_phase_transition(spec), first)
-        emit_csv(run_phase_transition(spec), second)
+        emit_csv(run_experiment(spec), first)
+        emit_csv(run_experiment(spec), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_write_failure_names_the_path(self, tmp_path):

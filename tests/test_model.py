@@ -14,11 +14,10 @@ from bideconv.model import (
     corrupted_count,
     generate_instance,
     linearized_residual_operator,
-    objective,
     objective_and_subgradient,
     partial_hadamard_left,
 )
-from oracles import count_unidentifiable_groups, fd_gradient, pattern_groups
+from oracles import count_unidentifiable_groups, fd_gradient, objective, pattern_groups
 
 
 def tiny_instance(left_entries, right_entries, y, w_bar=None, x_bar=None) -> ProblemInstance:
