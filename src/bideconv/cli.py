@@ -27,6 +27,8 @@ from .experiments import (
     NOISE_KINDS,
     ExperimentSpec,
     ResultTable,
+    cell_setup,
+    cells,
     emit_csv,
     make_instance,
     median_final_errors,
@@ -163,9 +165,9 @@ def _maybe_emit(table: ResultTable, out: str | None) -> None:
 
 
 def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
-    inst = make_instance(spec, (), spec.base_seed)
-    stop = replace(spec.solver_config, tol_rel_err=spec.success_threshold)
-    _, trace = solve_instance(inst, replace(spec, solver_config=stop), spec.qs[0])
+    [cell] = cells(spec)
+    stop = replace(cell_setup(spec, cell).config, tol_rel_err=spec.success_threshold)
+    _, trace = solve_instance(make_instance(spec, cell, spec.base_seed), spec, stop)
     print("iteration  objective      rel_error      step_size      matvecs")
     for r in trace.records:
         print(
@@ -203,8 +205,8 @@ def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
 
 
 def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
-    config = (("c", spec.m_ratios[0]), ("p_fail", spec.p_fails[0]), ("sigma", spec.sigmas[0]))
-    inst = make_instance(spec, config, spec.base_seed)
+    [cell] = cells(spec)
+    inst = make_instance(spec, cell, spec.base_seed)
     est = estimate_rip_constants(
         inst.op, inst.outlier_mask, samples=spec.trials, seed=spec.base_seed
     )
@@ -215,8 +217,8 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
     print(f"samples      = {est.sample_count}")
     table = ResultTable()
     for statistic in ("c_lower", "c_upper", "c_outlier"):
-        table.add(config, statistic, getattr(est, statistic))
-    table.add(config, "samples", est.sample_count)
+        table.add(cell, statistic, getattr(est, statistic))
+    table.add(cell, "samples", est.sample_count)
     _maybe_emit(table, out)
     return 0
 

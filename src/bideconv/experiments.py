@@ -1,14 +1,18 @@
 """Seeded Monte-Carlo experiments with CSV output.
 
 An experiment runs ``trials`` trials in each cell of the grids its kind fans
-out over.  ``run_trial`` does one trial's whole work and returns its
-``TrialRecord``; ``trial_instance``, the one seeding rule, draws the trial's
-instance from the base seed plus the cell's parameter VALUES (not grid
-positions), so a record is a pure function of the spec, the cell and the
-trial number: reordering, subsetting, or parallelizing the trials cannot
-change any number in the output table.  ``KINDS`` maps each kind to its grids
-and the reducer that turns the records of ``run_trials`` into a table, which
-is all ``run_experiment`` does.
+out over.  ``cells`` lists a spec's cells in grid order, and ``cell_setup``
+builds what every trial of a cell runs with: its m, its noise and its solver
+config at the cell's q.  Building a spec judges each cell with that same
+builder, so a bad setting is refused before the first trial.  ``run_trial``
+does one trial's whole work and returns its ``TrialRecord``;
+``trial_instance``, the one seeding rule, draws the trial's instance from the
+base seed plus the cell's parameter VALUES (not grid positions), so a record
+is a pure function of the spec, the cell and the trial number: reordering,
+subsetting, or parallelizing the trials cannot change any number in the
+output table.  ``KINDS`` maps each kind to its grids and the reducer that
+turns the records of ``run_trials`` into a table, which is all
+``run_experiment`` does.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,8 +89,9 @@ class ExperimentSpec:
     ``qs`` is the one home of the geometric decay rate: every solver runs at
     its cell's q, which is the spec's one ``qs`` value for a kind that does
     not fan out over q, so ``solver_config.decay_q`` must keep its default.
-    Every name is a key of its ``CHOICES`` table, and every cell's shape,
-    noise, decay rate, seed and Polyak minimal value are judged before any trial.
+    Every name is a key of its ``CHOICES`` table.  Every cell's setup (by
+    ``cell_setup``, as its trials build it), seed and Polyak minimal value are
+    judged before any trial.
     """
 
     kind: str
@@ -124,22 +129,19 @@ class ExperimentSpec:
             raise ValueError(
                 f"set the decay rate in qs, not solver_config.decay_q={self.solver_config.decay_q}"
             )
-        for q in self.qs:
-            replace(self.solver_config, decay_q=q)
         if self.kind == "qsweep" and self.solver != "geometric":
             raise ValueError(f"a qsweep runs the geometric solver, got solver {self.solver!r}")
-        cells = itertools.product(self.m_ratios, self.p_fails, self.sigmas)
-        shapes = [_m_noise(self, *cell) for cell in cells]
+        setups = [cell_setup(self, cell) for cell in cells(self)]
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
-        for values in itertools.product(*(getattr(self, name) for name in grids)):
+        for cell in map(dict, cells(self)):
             try:
-                derive_seed(self.base_seed, self.kind, *values, 0)  # as trial_instance does
+                derive_seed(self.base_seed, self.kind, *cell.values(), 0)  # as trial_instance does
             except TypeError as exc:
-                raise ValueError(f"cell {dict(zip(grids, values))}: {exc}") from exc
+                raise ValueError(f"cell {dict(zip(grids, cell.values()))}: {exc}") from exc
         if self.solver == "polyak" and self.kind != "init":  # init runs no solver
-            for m, noise in shapes:
-                polyak_min_value(self.solver_config.min_value, corrupted_count(noise.p_fail, m))
+            for m, noise, config in setups:
+                polyak_min_value(config.min_value, corrupted_count(noise.p_fail, m))
 
 
 Config = tuple[tuple[str, int | float | str], ...]
@@ -182,25 +184,37 @@ class ResultTable:
         ]
 
 
-def _m_noise(spec: ExperimentSpec, c: int, p_fail: float, sigma: float) -> tuple[int, NoiseSpec]:
-    """A cell's m = c(d1 + d2) and noise, judged by the model's own rules:
-    ``check_instance_shape`` and ``NoiseSpec``."""
-    m = c * (spec.d1 + spec.d2)
+def cells(spec: ExperimentSpec) -> Iterator[Config]:
+    """Each cell's config, in grid order: the product of the grids its kind
+    fans out over, e.g. ``(("c", 8), ("p_fail", 0.25), ("sigma", 1.0))``."""
+    items = ([(GRID_KEYS[name], v) for v in getattr(spec, name)] for name in KINDS[spec.kind][0])
+    return itertools.product(*items)
+
+
+class CellSetup(NamedTuple):
+    """What every trial of a cell runs with."""
+
+    m: int
+    noise: NoiseSpec
+    config: SolverConfig  # the spec's, at the cell's decay rate
+
+
+def cell_setup(spec: ExperimentSpec, cell: Config) -> CellSetup:
+    """The setup of ``cell``, which takes the spec's one value of every grid it
+    does not name: m = c(d1 + d2) and the noise, judged by the model's own
+    rules (``check_instance_shape`` and ``NoiseSpec``), and the solver config
+    at the cell's q."""
+    at = {key: getattr(spec, name)[0] for name, key in GRID_KEYS.items()} | dict(cell)
+    config = replace(spec.solver_config, decay_q=at["q"])
+    m = at["c"] * (spec.d1 + spec.d2)
     check_instance_shape(spec.d1, spec.d2, m, spec.left)
-    return m, NoiseSpec(p_fail, kind=NOISE_KINDS[spec.noise_kind], sigma=sigma)
-
-
-def _cell_values(spec: ExperimentSpec, cell: Config) -> dict[str, int | float]:
-    """Every grid key's value in ``cell``: the cell's own, or the spec's one
-    value of a grid the cell does not name."""
-    return {key: getattr(spec, name)[0] for name, key in GRID_KEYS.items()} | dict(cell)
+    return CellSetup(m, NoiseSpec(at["p_fail"], NOISE_KINDS[spec.noise_kind], at["sigma"]), config)
 
 
 def make_instance(spec: ExperimentSpec, cell: Config, seed: int) -> ProblemInstance:
-    """The instance of ``cell`` drawn from ``seed`` with the spec's sizes,
-    left side and noise model."""
-    at = _cell_values(spec, cell)
-    m, noise = _m_noise(spec, at["c"], at["p_fail"], at["sigma"])
+    """The instance of ``cell`` drawn from ``seed`` with the spec's sizes and
+    left side."""
+    m, noise, _ = cell_setup(spec, cell)
     return generate_instance(spec.d1, spec.d2, m, left=spec.left, noise=noise, seed=seed)
 
 
@@ -231,23 +245,17 @@ def initial_point(inst: ProblemInstance, init: str) -> SignalPair:
 
 
 def solve_instance(
-    inst: ProblemInstance, spec: ExperimentSpec, q: float
+    inst: ProblemInstance, spec: ExperimentSpec, config: SolverConfig
 ) -> tuple[SignalPair, Trace]:
-    """Initialize and solve one instance at decay rate ``q``.  A diverged run
-    returns like any other, with ``trace.diverged`` set, for the caller to
-    check."""
-    start = initial_point(inst, spec.init)
-    return SOLVER_FUNCTIONS[spec.solver](inst, start, replace(spec.solver_config, decay_q=q))
+    """Start from the spec's init and run its solver with ``config``.  A
+    diverged run returns like any other, with ``trace.diverged`` set, for the
+    caller to check."""
+    return SOLVER_FUNCTIONS[spec.solver](inst, initial_point(inst, spec.init), config)
 
 
 def trial_instance(spec: ExperimentSpec, cell: Config, trial: int) -> ProblemInstance:
-    """The instance of trial ``trial`` of ``cell``.
-
-    A cell is the config of the grids its kind fans out over, e.g.
-    ``(("c", 8), ("p_fail", 0.25), ("sigma", 1.0))``; the other grids hold one
-    value each.  The instance is drawn from
-    ``derive_seed(base_seed, kind, *cell values, trial)``.
-    """
+    """The instance of trial ``trial`` of ``cell``, drawn from
+    ``derive_seed(base_seed, kind, *cell values, trial)``."""
     seed = derive_seed(spec.base_seed, spec.kind, *(value for _, value in cell), trial)
     return make_instance(spec, cell, seed)
 
@@ -271,17 +279,15 @@ def run_trial(spec: ExperimentSpec, cell: Config, trial: int) -> TrialRecord:
         est = spectral_initialize(inst)
         error = direction_error(est.w_dir, est.x_dir, inst.truth)
         return TrialRecord(cell, trial, inst.seed, None, error)
-    _, trace = solve_instance(inst, spec, _cell_values(spec, cell)["q"])
+    _, trace = solve_instance(inst, spec, cell_setup(spec, cell).config)
     return TrialRecord(cell, trial, inst.seed, trace, trace.final.relative_error)
 
 
 def run_trials(spec: ExperimentSpec) -> list[TrialRecord]:
     """Every trial's record, cell by cell in grid order; a diverged solve
     raises RuntimeError, naming its instance seed, once its record exists."""
-    grids = KINDS[spec.kind][0]
     records = []
-    for values in itertools.product(*(getattr(spec, name) for name in grids)):
-        cell: Config = tuple(zip((GRID_KEYS[name] for name in grids), values))
+    for cell in cells(spec):
         for trial in range(spec.trials):
             records.append(record := run_trial(spec, cell, trial))
             if record.trace is not None and record.trace.diverged:
@@ -371,8 +377,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
 
 def _format_value(value: int | float | str) -> str:
-    if isinstance(value, str):
-        return value
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)

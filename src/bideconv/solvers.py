@@ -8,34 +8,11 @@ linearly off the solution set) and weakly convex, so
 * geometrically decaying normalized steps converge linearly without knowing
   that value, and
 * the prox-linear method converges quadratically by solving a strongly convex
-  least-absolute-deviation subproblem per iteration, which we do with a
-  semismooth Newton augmented Lagrangian method on the linearized map as a
-  matrix.  Each solve returns its duality gap, a certified bound on its
-  suboptimality, and hands its multipliers and penalty on to the next solve.
-  A solve's gap tolerance follows a tightening schedule, loosened to a
-  fraction of (beta/2)||z||^2 of the previous outer step z while steps are
-  long, where an exact solve of a poor model is wasted.
+  least-absolute-deviation subproblem per iteration (``admm_lad_prox``).
 
 They also share one run loop, ``_run``: each solver only generates its
 iterates (the two subgradient methods differ only in their step rule), and
 the loop records every iterate and decides when the run stops.
-
-SciPy is a dependency, but only the prox-linear Newton steps use it, so it is
-loaded on their first Cholesky factorization rather than when the package is
-imported; a subgradient run never loads it.  Those steps call its LAPACK
-``dpotrf``/``dpotrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve``
-do, without the wrappers' per-call overhead; ``dpotrf`` factors each Newton
-matrix in place, without a copy.  Each Newton step makes one product with
-the linearized map, for the direction; the line search's trial residuals
-follow from it by linearity and their objective values need no product.
-Each penalty stage ends on one fresh residual, which certifies the duality
-gap and starts the next stage.  Successive solves of one prox-linear run
-share their penalty as well as their multipliers: a solve starts at the
-geometric mean of the cold start 1/m and the penalty the previous solve
-ended on, and grows it 3x per stage.  Within one solve the linearized map is
-fixed, so the Gram matrix of a Newton step's active rows is carried to the
-next step and updated by the rows that enter or leave the active set; it is
-rebuilt from the active rows when those changes are at least as many.
 """
 
 from __future__ import annotations
@@ -64,6 +41,9 @@ from .model import (
 )
 
 
+# SciPy is a dependency, but only the prox-linear Newton steps use it, so it is
+# loaded here, on their first Cholesky factorization, rather than when the
+# package is imported: a subgradient run never loads it.
 @cache
 def _scipy_linalg():
     import scipy.linalg
@@ -81,7 +61,7 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     Fortran-ordered ``a`` is factored in place, without a copy, and any other
     is copied first.  Like it, a non-finite or non-positive-definite ``a``
     raises (``ValueError``, ``numpy.linalg.LinAlgError``) rather than giving a
-    factor with NaNs.  SciPy is imported on the first call.
+    factor with NaNs.
     """
     if not np.isfinite(a).all():
         raise ValueError("the matrix to factor must not contain infs or NaNs")
@@ -323,20 +303,20 @@ def _gap_tolerance(k: int) -> float:
     The outer loop's final accuracy is capped by how well its last
     subproblems were solved, so the schedule tightens geometrically; at
     quartering it stays ahead of the quadratic outer convergence within a
-    20-step budget.  It is a floor: ``_prox_linear_iterates`` loosens a solve
-    to ``_STEP_TOLERANCE`` (beta/2)||z||^2 of the previous step z when that
-    is larger, which it is only in the far phase, before the quadratic rate
-    sets in.
+    20-step budget.
     """
     return 1e-3 * 4.0**-k
 
 
-# Augmented-Lagrangian penalty growth per multiplier update; a cold solve
-# starts the penalty at 1/m, the scale of the 1/m objective weight.
+# Augmented-Lagrangian penalty growth per multiplier update.
 _SIGMA_GROWTH = 3.0
-# A solve's gap tolerance is at least this times (beta/2)||z||^2, z the outer
-# step before it: summable when the steps are square-summable, as inexact
-# prox-linear needs (Drusvyatskiy & Paquette, Math. Program. 2019).
+# A solve's gap tolerance is the larger of ``_gap_tolerance(k)`` and this times
+# (beta/2)||z||^2, z the outer step before it.  The loosening rules only in the
+# far phase, while steps are long and an exact solve of a poor model is
+# wasted; it stays a fraction of the objective, since (beta/2)||z||^2 is at
+# most the previous subproblem's value, and is summable when the steps are
+# square-summable, as inexact prox-linear needs (Drusvyatskiy & Paquette,
+# Math. Program. 2019).
 _STEP_TOLERANCE = 0.2
 # Newton steps one LAD-prox solve may take before it reports exhaustion.
 _MAX_NEWTON = 200
@@ -405,26 +385,17 @@ def admm_lad_prox(
 
     A is the m x n matrix ``a_mat``, so the solve makes no operator
     products.  The Gram matrix A_J^T A_J is kept across the Newton steps and
-    penalty stages of the call and updated in place by the rows that enter or
-    leave J, unless those are at least as many as the rows of J, which is
-    when rebuilding it from J costs less (``_active_gram``).  Each Newton
-    system is factored and solved by the direct LAPACK
-    calls ``cho_factor`` and ``cho_solve``; the Newton matrix is symmetric to
-    the bit, so it reaches ``dpotrf`` as its Fortran-ordered transpose and is
-    factored in place, uncopied.  Each Newton step forms A step once, and the
-    Armijo trials take their residuals by linearity, t + alpha A step, so a
-    trial makes no product; they evaluate phi's value only, and phi's
-    gradient is formed once per step, at the accepted point.  Each penalty
-    stage ends on a fresh residual Az - y~, which starts the next stage and,
-    without a region, gives the gap's P, so the certificate never rests on
-    the residual the trials accumulated.  Without
-    a region the ball terms are zero and are not formed; the gap takes
-    A^T u from the last gradient, and with a region it recomputes the
-    residual at the projected z.
+    penalty stages of the call (``_active_gram``).  Each Newton step forms
+    A step once, and the Armijo trials take their residuals by linearity,
+    t + alpha A step, so a trial makes no product; they evaluate phi's value
+    only, and phi's gradient is formed once per step, at the accepted point.
+    Each penalty stage ends on a fresh residual Az - y~, which starts the next
+    stage and, without a region, gives the gap's P, so the certificate never
+    rests on the residual the trials accumulated.
 
     z starts at zero, (u, u2) at ``duals`` (zero when None) and the penalty
-    at ``sigma`` (1/m when None); the result carries the final multipliers
-    and penalty for the next solve.
+    at ``sigma`` (when None, 1/m, the scale of the objective's 1/m weight);
+    the result carries the final multipliers and penalty for the next solve.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -565,9 +536,11 @@ def _prox_linear_iterates(inst: ProblemInstance, cfg: SolverConfig, p: SignalPai
             duals=duals,
             sigma=sigma,
         )
-        # the next solve starts at the geometric mean of the cold start 1/m
-        # and this solve's final penalty: the penalty a run needs peaks
-        # mid-run and then falls, so starting at the peak overshoots
+        # the next solve starts from this solve's multipliers, which carry the
+        # LAD subgradient's sign pattern that successive linearizations mostly
+        # share, and at the geometric mean of the cold start 1/m and this
+        # solve's final penalty: the penalty a run needs peaks mid-run and then
+        # falls, so starting at the peak overshoots
         duals, sigma = result.duals, math.sqrt(result.sigma / inst.m)
         step = float(np.linalg.norm(result.z))
         inner = {
@@ -589,19 +562,11 @@ def prox_linear(
 ) -> tuple[SignalPair, Trace]:
     """Outer prox-linear loop with SSNAL-solved linearized subproblems.
 
-    Each outer iteration k linearizes the bilinear map at the current point
-    and minimizes model + (beta/2)||displacement||^2 until the duality gap is
-    at most the larger of ``_gap_tolerance(k)`` and ``_STEP_TOLERANCE``
-    (beta/2)||z||^2, with z the previous displacement (none for k = 1); the
-    displacement is added to the point.  (beta/2)||z||^2 is at most the
-    previous subproblem's value P(z), so a loosened tolerance stays a
-    fraction of the objective.
-    With ``cfg.region`` the displacement is confined so that the new point
-    stays in the region.  Each inner solve starts from the previous one's
-    final multipliers (zero for the first): successive linearizations share
-    most of the LAD subgradient's sign pattern, which the multipliers carry.
-    Its penalty starts at sqrt(sigma / m), with sigma the penalty on which
-    the previous solve ended (1/m for the first).
-    The trace records each solve's Newton steps, gap and exhaustion.
+    Each outer iteration linearizes the bilinear map at the current point,
+    minimizes model + (beta/2)||displacement||^2 by ``admm_lad_prox`` to the
+    gap tolerance that ``_STEP_TOLERANCE`` states, warm-started from the
+    previous solve, and adds the displacement to the point.  With ``cfg.region`` the displacement is
+    confined so that the new point stays in the region.  The trace records
+    each solve's Newton steps, gap and exhaustion.
     """
     return _run(inst, start, cfg, partial(_prox_linear_iterates, inst, cfg), budget=20)

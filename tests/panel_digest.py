@@ -55,9 +55,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 INSTANCES = 6
 # a converge run, whose stdout is the per-cell median summary, an n2 run, a
-# random-heuristic start, a Hadamard phase grid over two c and two prox-linear
+# random-heuristic start, a Hadamard phase grid over two c, two prox-linear
 # solves on a Hadamard left side, the second at n = d1 + d2 = 128, where most
-# Newton matrices come from the rows that enter or leave the active set
+# Newton matrices come from the rows that enter or leave the active set, and a
+# noiseless Polyak phase grid, the one line that runs Polyak's value-gap steps
+# past a start
 EXTRA_COMMANDS = [
     "converge --d1 10 --d2 10 --c 4,6 --pfail 0.1 --trials 3 --solver geometric --q 0.95"
     " --iters 300 --seed 2",
@@ -67,6 +69,7 @@ EXTRA_COMMANDS = [
     " --iters 300 --seed 3",
     "solve --d1 16 --d2 16 --c 8 --pfail 0.1 --left hadamard --solver proxlinear --seed 2",
     "solve --d1 64 --d2 64 --c 8 --pfail 0.05 --left hadamard --solver proxlinear --seed 700",
+    "phase --d1 10 --d2 10 --c 4,6 --pfail 0 --trials 2 --solver polyak --iters 200 --seed 5",
 ]
 
 

@@ -9,17 +9,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bideconv import experiments
+from bideconv import cli, experiments
 from bideconv.experiments import (
     GRID_KEYS,
     ExperimentSpec,
     ResultTable,
+    cell_setup,
+    cells,
     derive_seed,
     emit_csv,
     initial_point,
     run_experiment,
     run_trial,
     run_trials,
+    solve_instance,
 )
 from bideconv.model import corrupted_count, generate_instance
 from bideconv.solvers import SolverConfig
@@ -425,6 +428,53 @@ class TestTrials:
             f"solver diverged on instance seed {record.seed}: "
             f"non-finite objective at iteration {record.trace.final.iteration}"
         )
+
+
+class TestCells:
+    """``cells`` and ``cell_setup`` are the one home of a spec's cells: the
+    spec's judge, its trials and the solve command all build from them."""
+
+    @pytest.mark.parametrize("kind", list(TestTrials.SPECS))
+    def test_judge_and_trials_build_each_cell_alike(self, kind, monkeypatch):
+        built, solved = [], []
+
+        def recording_setup(spec, cell):
+            built.append(cell)
+            return cell_setup(spec, cell)
+
+        def recording_solve(inst, spec, config):
+            solved.append((inst.seed, config))
+            return solve_instance(inst, spec, config)
+
+        monkeypatch.setattr(experiments, "cell_setup", recording_setup)
+        spec = small_spec(trials=2, **TestTrials.SPECS[kind])
+        grid = list(cells(spec))
+        assert len(grid) == 4
+        assert built == grid  # the judge builds each cell once, in grid order
+        monkeypatch.setattr(experiments, "solve_instance", recording_solve)
+        records = run_trials(spec)
+        assert [r.cell for r in records] == [cell for cell in grid for _ in range(spec.trials)]
+        expected = [(r.seed, cell_setup(spec, r.cell).config) for r in records if kind != "init"]
+        assert solved == expected
+        for cell in grid:
+            q = dict(cell).get("q", spec.qs[0])
+            assert cell_setup(spec, cell).config == replace(spec.solver_config, decay_q=q)
+
+    def test_the_solve_command_runs_its_cell_to_the_threshold(self, monkeypatch, capsys):
+        solved = []
+
+        def recording_solve(inst, spec, config):
+            solved.append((spec, config))
+            return solve_instance(inst, spec, config)
+
+        monkeypatch.setattr(cli, "solve_instance", recording_solve)
+        argv = ["solve", "--d1", "6", "--d2", "6", "--c", "8", "--pfail", "0.1", "--solver",
+                "geometric", "--q", "0.9", "--iters", "40", "--threshold", "1e-3", "--seed", "7"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        [(spec, config)] = solved
+        [cell] = cells(spec)
+        assert config == replace(cell_setup(spec, cell).config, tol_rel_err=1e-3)
+        assert (config.decay_q, config.max_iters) == (0.9, 40)
 
 
 class TestInitialPoint:
