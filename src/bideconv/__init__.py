@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from .experiments import (
     ExperimentSpec,
-    ResultTable,
     derive_seed,
     emit_csv,
+    result_table,
     run_experiment,
 )
 from .geometry import (
@@ -54,7 +54,6 @@ __all__ = [
     "MeasurementOperator",
     "NoiseSpec",
     "ProblemInstance",
-    "ResultTable",
     "SignalPair",
     "SolutionSet",
     "SolverConfig",
@@ -70,6 +69,7 @@ __all__ = [
     "polyak_subgradient",
     "prox_linear",
     "relative_error",
+    "result_table",
     "run_experiment",
     "spectral_initialize",
     "__version__",

@@ -21,17 +21,20 @@ import sys
 from dataclasses import fields, replace
 from typing import Any, Callable
 
+import numpy as np
+
 from .experiments import (
     CHOICES,
     KINDS,
     NOISE_KINDS,
     ExperimentSpec,
-    ResultTable,
+    Row,
+    _per_cell,
     cell_setup,
     cells,
     emit_csv,
     make_instance,
-    median_final_errors,
+    result_table,
     run_trials,
     solve_instance,
 )
@@ -131,7 +134,7 @@ def read_config_file(path: str, command: str) -> dict[str, str]:
                 if key in values:
                     raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -158,7 +161,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     return spec, out
 
 
-def _maybe_emit(table: ResultTable, out: str | None) -> None:
+def _maybe_emit(table: list[Row], out: str | None) -> None:
     if out is not None:
         emit_csv(table, out)
         print(f"wrote {len(table)} rows to {out}")
@@ -184,10 +187,10 @@ def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
         f"final relative error {trace.final.relative_error:.6e} "
         f"({status} threshold {threshold:g})"
     )
-    table = ResultTable()
-    for r in trace.records:
-        for statistic in ("objective", "relative_error", "step_size", "matvecs"):
-            table.add((("iteration", r.iteration),), statistic, getattr(r, statistic))
+    statistics = ("objective", "relative_error", "step_size", "matvecs")
+    table = result_table(
+        ((("iteration", r.iteration),), s, getattr(r, s)) for r in trace.records for s in statistics
+    )
     _maybe_emit(table, out)
     return 0
 
@@ -196,10 +199,12 @@ def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
     records = run_trials(spec)
     table = KINDS[spec.kind][1](spec, records)
     # the full convergence trace table is large; print per-cell final errors only
-    shown = median_final_errors(spec, records) if spec.kind == "convergence" else table
-    for row in shown.sorted_rows():
-        config = ";".join(f"{k}={v}" for k, v in row.config)
-        print(f"{config}  {row.statistic} = {row.value:.10g}")
+    shown = table
+    if spec.kind == "convergence":
+        shown = result_table(_per_cell(records, median_final_error=np.median))
+    for config, statistic, value in shown:
+        text = ";".join(f"{k}={v}" for k, v in config)
+        print(f"{text}  {statistic} = {value:.10g}")
     _maybe_emit(table, out)
     return 0
 
@@ -215,11 +220,8 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
     print(f"c_outlier    = {est.c_outlier:.10g}")
     print(f"upper/lower  = {est.c_upper / est.c_lower:.10g}")
     print(f"samples      = {est.sample_count}")
-    table = ResultTable()
-    for statistic in ("c_lower", "c_upper", "c_outlier"):
-        table.add(cell, statistic, getattr(est, statistic))
-    table.add(cell, "samples", est.sample_count)
-    _maybe_emit(table, out)
+    rows = [(cell, s, getattr(est, s)) for s in ("c_lower", "c_upper", "c_outlier")]
+    _maybe_emit(result_table([*rows, (cell, "samples", est.sample_count)]), out)
     return 0
 
 

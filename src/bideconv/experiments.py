@@ -1,18 +1,11 @@
 """Seeded Monte-Carlo experiments with CSV output.
 
-An experiment runs ``trials`` trials in each cell of the grids its kind fans
-out over.  ``cells`` lists a spec's cells in grid order, and ``cell_setup``
-builds what every trial of a cell runs with: its m, its noise and its solver
-config at the cell's q.  Building a spec judges each cell with that same
-builder, so a bad setting is refused before the first trial.  ``run_trial``
-does one trial's whole work and returns its ``TrialRecord``;
-``trial_instance``, the one seeding rule, draws the trial's instance from the
-base seed plus the cell's parameter VALUES (not grid positions), so a record
-is a pure function of the spec, the cell and the trial number: reordering,
-subsetting, or parallelizing the trials cannot change any number in the
-output table.  ``KINDS`` maps each kind to its grids and the reducer that
-turns the records of ``run_trials`` into a table, which is all
-``run_experiment`` does.
+A trial's instance is drawn from the base seed plus its cell's parameter
+VALUES, not grid positions, so a record is a pure function of the spec, the
+cell and the trial number: reordering, subsetting or parallelizing the trials
+cannot change any number in the output.  Every table, an experiment's or a
+command's, is the sorted list of (config, statistic, value) rows that
+``result_table`` builds.
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -145,43 +138,18 @@ class ExperimentSpec:
 
 
 Config = tuple[tuple[str, int | float | str], ...]
+Row = tuple[Config, str, float]
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    config: Config
-    statistic: str
-    value: float
-
-
-class ResultTable:
-    """Append-only (config, statistic) -> value store with a canonical order."""
-
-    def __init__(self) -> None:
-        self.rows: list[ResultRow] = []
-        self._seen: set[tuple[Config, str]] = set()
-
-    def add(self, config: Config, statistic: str, value: float) -> None:
-        key = (config, statistic)
-        if key in self._seen:
+def result_table(rows: Iterable[tuple[Config, str, int | float]]) -> list[Row]:
+    """The rows as a table: each value a float, in the canonical order (by
+    config, then statistic).  A (config, statistic) pair given twice is
+    refused."""
+    table = sorted((config, statistic, float(value)) for config, statistic, value in rows)
+    for (config, statistic, _), (next_config, next_statistic, _) in itertools.pairwise(table):
+        if statistic == next_statistic and config == next_config:
             raise ValueError(f"duplicate row for {config} / {statistic}")
-        self._seen.add(key)
-        self.rows.append(ResultRow(config=config, statistic=statistic, value=float(value)))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def sorted_rows(self) -> list[ResultRow]:
-        return sorted(self.rows, key=lambda r: (r.config, r.statistic))
-
-    def values(self, statistic: str, **match: int | float | str) -> list[float]:
-        """All values of one statistic whose config contains the given items."""
-        wanted = set(match.items())
-        return [
-            r.value
-            for r in self.sorted_rows()
-            if r.statistic == statistic and wanted <= set(r.config)
-        ]
+    return table
 
 
 def cells(spec: ExperimentSpec) -> Iterator[Config]:
@@ -298,36 +266,28 @@ def run_trials(spec: ExperimentSpec) -> list[TrialRecord]:
     return records
 
 
-def _per_cell(records: list[TrialRecord], **statistics) -> ResultTable:
-    """A table of each named statistic, a function of a list of errors, of
-    every cell's trial errors."""
+def _per_cell(records: list[TrialRecord], **statistics) -> Iterator[tuple[Config, str, float]]:
+    """The rows of each named statistic, a function of a list of errors, of
+    every cell's trial errors, for ``result_table``."""
     errors = defaultdict(list)
     for record in records:
         errors[record.cell].append(record.error)
-    table = ResultTable()
     for cell, values in errors.items():
         for statistic, reduce in statistics.items():
-            table.add(cell, statistic, reduce(values))
-    return table
+            yield cell, statistic, reduce(values)
 
 
-def _convergence_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
+def _convergence_table(spec: ExperimentSpec, records: list[TrialRecord]) -> list[Row]:
     """Per-iteration error traces for every (c, p_fail, sigma, trial)."""
-    table = ResultTable()
+    rows = []
     for cell, trial, _, trace, _ in records:
         for r in trace.records:
             config = cell + (("trial", trial), ("iteration", r.iteration))
-            for statistic in ("relative_error", "objective", "matvecs"):
-                table.add(config, statistic, getattr(r, statistic))
-    return table
+            rows += [(config, s, getattr(r, s)) for s in ("relative_error", "objective", "matvecs")]
+    return result_table(rows)
 
 
-def median_final_errors(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
-    """Each cell's median final relative error over its trials."""
-    return _per_cell(records, median_final_error=np.median)
-
-
-def _phase_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
+def _phase_table(spec: ExperimentSpec, records: list[TrialRecord]) -> list[Row]:
     """Success-rate grid over (c, p_fail, sigma): fraction of trials whose
     final relative error is at or below the success threshold, and the median
     final error."""
@@ -335,26 +295,20 @@ def _phase_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTabl
     def success_rate(errors: list[float]) -> float:
         return sum(error <= spec.success_threshold for error in errors) / spec.trials
 
-    return _per_cell(records, success_rate=success_rate, median_final_error=np.median)
+    return result_table(_per_cell(records, success_rate=success_rate, median_final_error=np.median))
 
 
-def _qsweep_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
+def _qsweep_table(spec: ExperimentSpec, records: list[TrialRecord]) -> list[Row]:
     """Mean final error of the geometric method per (c, q) cell, at the spec's
     one p_fail and sigma."""
-    return _per_cell(records, mean_final_error=np.mean)
+    return result_table(_per_cell(records, mean_final_error=np.mean))
 
 
-def _init_table(spec: ExperimentSpec, records: list[TrialRecord]) -> ResultTable:
-    """Initialization accuracy per (c, p_fail, sigma) cell.
-
-    Emits the per-trial direction errors (sign-invariant distance between the
-    unit rank-one matrices) plus their per-cell median, the statistic used to
-    judge robustness to growing corruption magnitude.
-    """
-    table = _per_cell(records, median_direction_error=np.median)
-    for record in records:
-        table.add(record.cell + (("trial", record.trial),), "direction_error", record.error)
-    return table
+def _init_table(spec: ExperimentSpec, records: list[TrialRecord]) -> list[Row]:
+    """Each trial's direction error (the sign-invariant distance between the
+    unit rank-one matrices) and each (c, p_fail, sigma) cell's median of them."""
+    trial_rows = [(r.cell + (("trial", r.trial),), "direction_error", r.error) for r in records]
+    return result_table([*_per_cell(records, median_direction_error=np.median), *trial_rows])
 
 
 # kind -> (the grids it fans out over, the reducer of its trial records to a
@@ -372,7 +326,7 @@ CHOICES = {"kind": KINDS, "solver": SOLVER_FUNCTIONS, "init": STARTS, "noise_kin
            "left": LEFT_SIDES}
 
 
-def run_experiment(spec: ExperimentSpec) -> ResultTable:
+def run_experiment(spec: ExperimentSpec) -> list[Row]:
     return KINDS[spec.kind][1](spec, run_trials(spec))
 
 
@@ -382,19 +336,19 @@ def _format_value(value: int | float | str) -> str:
     return str(value)
 
 
-def emit_csv(table: ResultTable, path) -> None:
-    """Write ``config,statistic,value`` rows in canonical order.
+def emit_csv(table: list[Row], path) -> None:
+    """Write a ``result_table`` as ``config,statistic,value`` rows, in the
+    canonical order the table carries.
 
     Floats carry 17 significant digits, enough to round-trip float64 exactly,
-    and rows are sorted by (config, statistic), so equal tables produce
-    byte-identical files.
+    so equal tables produce byte-identical files.
     """
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["config", "statistic", "value"])
-            for row in table.sorted_rows():
-                config = ";".join(f"{k}={_format_value(v)}" for k, v in row.config)
-                writer.writerow([config, row.statistic, "%.17g" % row.value])
+            for config, rows in itertools.groupby(table, key=lambda row: row[0]):
+                text = ";".join(f"{k}={_format_value(v)}" for k, v in config)
+                writer.writerows([text, statistic, "%.17g" % value] for _, statistic, value in rows)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

@@ -115,6 +115,13 @@ def objective(inst, p) -> float:
     return float(np.abs(resid).mean())
 
 
+def values(table, statistic: str, **match: int | float | str) -> list[float]:
+    """All values of one statistic in a result table whose config contains
+    the given items, in the table's order."""
+    wanted = set(match.items())
+    return [value for config, name, value in table if name == statistic and wanted <= set(config)]
+
+
 def fd_gradient(fun, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of a vector."""
     point = np.asarray(point, dtype=np.float64)

@@ -46,6 +46,7 @@ from oracles import (
     exact_lad_prox_2d,
     fd_gradient,
     grid_dist_to_solution_set,
+    values,
 )
 
 
@@ -350,7 +351,7 @@ def test_init_robust_to_corruption_magnitude():
         base_seed=800,
     )
     table = run_experiment(spec)
-    med = {s: table.values("median_direction_error", sigma=s)[0] for s in spec.sigmas}
+    med = {s: values(table, "median_direction_error", sigma=s)[0] for s in spec.sigmas}
     keep_all = []
     for trial in range(spec.trials):
         inst = trial_instance(spec, (("c", 8), ("p_fail", 0.25), ("sigma", 1e4)), trial)

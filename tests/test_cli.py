@@ -1,6 +1,8 @@
 """End-to-end CLI tests through ``main(argv)``: argument plumbing, the
 config-file layer, exit codes, and CSV side effects."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "unknown key 'trials' for solve" in err
 
+    def test_config_file_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        # the decode error used to reach stderr without the path
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert f"cannot read config file {cfg}" in err
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["render"]) == 2
 
@@ -539,6 +549,34 @@ class TestExperimentCommands:
         assert main(argv) == 0
         capsys.readouterr()
         assert library.read_bytes() == command.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            pytest.param(
+                ["solve", *TINY, "--pfail", "0.1", "--solver", "geometric", "--iters", "40"],
+                "87b39473f320866cb6e73b3c94ff24520b763b9511fb6f73a57e60dcf0c299b8",
+                id="solve",
+            ),
+            pytest.param(
+                ["converge", *TINY, "--c", "4,6", "--pfail", "0.1", "--trials", "2", "--solver",
+                 "geometric", "--iters", "30"],
+                "c974399c2d8d60f1773b98894434f94016f64893bb67984a947d06e6fbacc2f6",
+                id="converge",
+            ),
+            pytest.param(
+                ["rip-probe", *TINY, "--pfail", "0.1", "--trials", "20"], "80757652fd68d170d719b121d92931f254924473a8a2638dd2588e8a3ba18184", id="rip-probe"
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, argv, sha256):
+        # the exit code, stdout (for converge, the per-cell median summary) and
+        # CSV bytes of the commands that build a table of their own
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, [*argv, "--out", "table.csv"])
+        digest = hashlib.sha256(f"exit {code}\n{out}".encode())
+        digest.update((tmp_path / "table.csv").read_bytes())
+        assert digest.hexdigest() == sha256, err
 
     def test_csv_bytes_stable_across_invocations(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

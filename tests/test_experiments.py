@@ -13,12 +13,12 @@ from bideconv import cli, experiments
 from bideconv.experiments import (
     GRID_KEYS,
     ExperimentSpec,
-    ResultTable,
     cell_setup,
     cells,
     derive_seed,
     emit_csv,
     initial_point,
+    result_table,
     run_experiment,
     run_trial,
     run_trials,
@@ -26,6 +26,7 @@ from bideconv.experiments import (
 )
 from bideconv.model import corrupted_count, generate_instance
 from bideconv.solvers import SolverConfig
+from oracles import values
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -198,31 +199,43 @@ class TestExperimentSpec:
 
 class TestResultTable:
     def test_duplicate_rows_rejected(self):
-        table = ResultTable()
-        table.add((("c", 8),), "success_rate", 1.0)
+        # the pair given twice is not adjacent until the rows are sorted
+        rows = [
+            ((("c", 8),), "success_rate", 1.0),
+            ((("c", 4),), "success_rate", 1.0),
+            ((("c", 8),), "success_rate", 0.5),
+        ]
+        assert len(result_table(rows[:2])) == 2
         with pytest.raises(ValueError, match="duplicate"):
-            table.add((("c", 8),), "success_rate", 0.5)
+            result_table(rows)
 
     def test_sorted_rows_are_lexicographic_in_config(self):
-        table = ResultTable()
-        table.add((("c", 10), ("q", 0.5)), "v", 1.0)
-        table.add((("c", 2), ("q", 0.9)), "v", 2.0)
-        table.add((("c", 2), ("q", 0.1)), "v", 3.0)
-        configs = [r.config for r in table.sorted_rows()]
+        table = result_table(
+            [
+                ((("c", 10), ("q", 0.5)), "v", 1),
+                ((("c", 2), ("q", 0.9)), "v", 2),
+                ((("c", 2), ("q", 0.1)), "v", 3),
+            ]
+        )
+        configs = [config for config, _, _ in table]
         assert configs == [
             (("c", 2), ("q", 0.1)),
             (("c", 2), ("q", 0.9)),
             (("c", 10), ("q", 0.5)),
         ]
+        assert [type(value) for _, _, value in table] == [float] * 3
 
     def test_values_filters_by_config_items(self):
-        table = ResultTable()
-        table.add((("c", 2), ("trial", 0)), "err", 0.5)
-        table.add((("c", 2), ("trial", 1)), "err", 0.25)
-        table.add((("c", 3), ("trial", 0)), "err", 0.125)
-        assert table.values("err", c=2) == [0.5, 0.25]
-        assert table.values("err", c=3, trial=0) == [0.125]
-        assert table.values("missing") == []
+        table = result_table(
+            [
+                ((("c", 2), ("trial", 0)), "err", 0.5),
+                ((("c", 2), ("trial", 1)), "err", 0.25),
+                ((("c", 3), ("trial", 0)), "err", 0.125),
+            ]
+        )
+        assert values(table, "err", c=2) == [0.5, 0.25]
+        assert values(table, "err", c=3, trial=0) == [0.125]
+        assert values(table, "missing") == []
 
 
 class TestRunConvergence:
@@ -236,21 +249,19 @@ class TestRunConvergence:
         )
         table = run_experiment(spec)
         for trial in range(spec.trials):
-            errs = table.values("relative_error", c=8, trial=trial)
+            errs = values(table, "relative_error", c=8, trial=trial)
             assert errs[-1] <= 1e-5
 
     def test_rerun_is_bit_identical(self):
         spec = small_spec(kind="convergence", trials=1)
         a = run_experiment(spec)
         b = run_experiment(spec)
-        assert [(r.config, r.statistic, r.value) for r in a.sorted_rows()] == [
-            (r.config, r.statistic, r.value) for r in b.sorted_rows()
-        ]
+        assert a == b
 
     def test_emits_monotone_iteration_configs_with_matvecs(self):
         spec = small_spec(kind="convergence", trials=1)
         table = run_experiment(spec)
-        matvecs = table.values("matvecs", trial=0)
+        matvecs = values(table, "matvecs", trial=0)
         assert matvecs == sorted(matvecs)
         assert matvecs[0] == 4.0
 
@@ -259,18 +270,16 @@ class TestRunPhaseTransition:
     def test_noiseless_well_posed_cell_always_succeeds(self):
         spec = small_spec(d1=12, d2=12, trials=4)
         table = run_experiment(spec)
-        assert table.values("success_rate", c=8)[0] == 1.0
+        assert values(table, "success_rate", c=8)[0] == 1.0
 
     def test_cell_results_survive_grid_reordering_and_subsetting(self):
         full = run_experiment(small_spec(m_ratios=(4, 8), trials=2))
         reordered = run_experiment(small_spec(m_ratios=(8, 4), trials=2))
         subset = run_experiment(small_spec(m_ratios=(8,), trials=2))
         for table in (reordered, subset):
-            assert table.values("success_rate", c=8) == full.values(
-                "success_rate", c=8
-            )
-            assert table.values("median_final_error", c=8) == full.values(
-                "median_final_error", c=8
+            assert values(table, "success_rate", c=8) == values(full, "success_rate", c=8)
+            assert values(table, "median_final_error", c=8) == values(
+                full, "median_final_error", c=8
             )
 
     def test_runs_at_the_specs_q(self):
@@ -286,7 +295,7 @@ class TestRunPhaseTransition:
             qs=(0.5,),
             solver_config=SolverConfig(max_iters=40),
         )
-        assert run_experiment(spec).values("median_final_error") == [0.2818004559664355]
+        assert values(run_experiment(spec), "median_final_error") == [0.2818004559664355]
 
     def test_success_rate_monotone_in_oversampling(self):
         spec = small_spec(
@@ -300,8 +309,8 @@ class TestRunPhaseTransition:
             success_threshold=1e-4,
         )
         table = run_experiment(spec)
-        low = table.values("success_rate", c=2)[0]
-        high = table.values("success_rate", c=8)[0]
+        low = values(table, "success_rate", c=2)[0]
+        high = values(table, "success_rate", c=8)[0]
         assert high >= low - 0.10
 
 
@@ -319,7 +328,7 @@ class TestRunQSweep:
         assert len(table) == 6
         for c in (4, 8):
             for q in (0.9, 0.95, 0.98):
-                assert len(table.values("mean_final_error", c=c, q=q)) == 1
+                assert len(values(table, "mean_final_error", c=c, q=q)) == 1
 
     def test_faster_decay_wins_at_short_budgets(self):
         # at 150 iterations a q of 0.9 has shrunk the step to 1e-7 while
@@ -334,8 +343,8 @@ class TestRunQSweep:
             solver_config=SolverConfig(max_iters=150),
         )
         table = run_experiment(spec)
-        fast = table.values("mean_final_error", q=0.9)[0]
-        slow = table.values("mean_final_error", q=0.995)[0]
+        fast = values(table, "mean_final_error", q=0.9)[0]
+        slow = values(table, "mean_final_error", q=0.995)[0]
         assert fast < slow
         assert slow > 1e-5
 
@@ -364,10 +373,10 @@ class TestRunInitQuality:
         table = run_experiment(spec)
         for sigma in (1.0, 5.0):
             trials = [
-                table.values("direction_error", sigma=sigma, trial=t)[0]
+                values(table, "direction_error", sigma=sigma, trial=t)[0]
                 for t in range(5)
             ]
-            med = table.values("median_direction_error", sigma=sigma)[0]
+            med = values(table, "median_direction_error", sigma=sigma)[0]
             assert med == float(np.median(trials))
 
 
@@ -496,9 +505,12 @@ class TestInitialPoint:
 
 class TestEmitCsv:
     def test_round_trip_exact(self, tmp_path):
-        table = ResultTable()
-        table.add((("c", 8), ("p_fail", 0.1 + 0.2)), "err", 1.0 / 3.0)
-        table.add((("c", 8), ("p_fail", 0.5)), "err", math.pi)
+        table = result_table(
+            [
+                ((("c", 8), ("p_fail", 0.5)), "err", math.pi),
+                ((("c", 8), ("p_fail", 0.1 + 0.2)), "err", 1.0 / 3.0),
+            ]
+        )
         path = tmp_path / "out.csv"
         emit_csv(table, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -510,7 +522,7 @@ class TestEmitCsv:
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(ResultTable(), path)
+        emit_csv(result_table([]), path)
         assert path.read_text(encoding="utf-8") == "config,statistic,value\n"
 
     def test_identical_runs_give_identical_bytes(self, tmp_path):
@@ -521,7 +533,7 @@ class TestEmitCsv:
         assert first.read_bytes() == second.read_bytes()
 
     def test_write_failure_names_the_path(self, tmp_path):
-        table = ResultTable()
+        table = result_table([])
         missing = tmp_path / "no-such-dir" / "x.csv"
         with pytest.raises(OSError, match="no-such-dir"):
             emit_csv(table, missing)
