@@ -161,13 +161,12 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
     return spec, out
 
 
-def _maybe_emit(table: list[Row], out: str | None) -> None:
-    if out is not None:
-        emit_csv(table, out)
-        print(f"wrote {len(table)} rows to {out}")
+# a handler prints what its command prints and returns its table unbuilt, for
+# main to build only when --out asks for it
+PendingTable = Callable[[], list[Row]]
 
 
-def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
+def _cmd_solve(spec: ExperimentSpec) -> PendingTable:
     [cell] = cells(spec)
     stop = replace(cell_setup(spec, cell).config, tol_rel_err=spec.success_threshold)
     _, trace = solve_instance(make_instance(spec, cell, spec.base_seed), spec, stop)
@@ -188,28 +187,27 @@ def _cmd_solve(spec: ExperimentSpec, out: str | None) -> int:
         f"({status} threshold {threshold:g})"
     )
     statistics = ("objective", "relative_error", "step_size", "matvecs")
-    table = result_table(
+    return lambda: result_table(
         ((("iteration", r.iteration),), s, getattr(r, s)) for r in trace.records for s in statistics
     )
-    _maybe_emit(table, out)
-    return 0
 
 
-def _cmd_experiment(spec: ExperimentSpec, out: str | None) -> int:
+def _cmd_experiment(spec: ExperimentSpec) -> PendingTable:
     records = run_trials(spec)
-    table = KINDS[spec.kind][1](spec, records)
+    reduce = KINDS[spec.kind][1]
     # the full convergence trace table is large; print per-cell final errors only
-    shown = table
-    if spec.kind == "convergence":
+    convergence = spec.kind == "convergence"
+    if convergence:
         shown = result_table(_per_cell(records, median_final_error=np.median))
+    else:
+        shown = reduce(spec, records)
     for config, statistic, value in shown:
         text = ";".join(f"{k}={v}" for k, v in config)
         print(f"{text}  {statistic} = {value:.10g}")
-    _maybe_emit(table, out)
-    return 0
+    return (lambda: reduce(spec, records)) if convergence else (lambda: shown)
 
 
-def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
+def _cmd_rip_probe(spec: ExperimentSpec) -> PendingTable:
     [cell] = cells(spec)
     inst = make_instance(spec, cell, spec.base_seed)
     est = estimate_rip_constants(
@@ -221,14 +219,13 @@ def _cmd_rip_probe(spec: ExperimentSpec, out: str | None) -> int:
     print(f"upper/lower  = {est.c_upper / est.c_lower:.10g}")
     print(f"samples      = {est.sample_count}")
     rows = [(cell, s, getattr(est, s)) for s in ("c_lower", "c_upper", "c_outlier")]
-    _maybe_emit(result_table([*rows, (cell, "samples", est.sample_count)]), out)
-    return 0
+    return lambda: result_table([*rows, (cell, "samples", est.sample_count)])
 
 
 # command -> (help, ExperimentSpec.kind, handler, the settings it reads besides
 # the _SHARED ones); solve and rip-probe read the spec's one cell, so their
 # kind is nominal
-_COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec, str | None], int], str]] = {
+_COMMANDS: dict[str, tuple[str, str, Callable[[ExperimentSpec], PendingTable], str]] = {
     "solve": ("solve one instance, print the trace", "convergence", _cmd_solve,
               "solver q lambda beta init iters threshold"),
     "init": ("initialization accuracy table", "init", _cmd_experiment, "trials"),
@@ -273,10 +270,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command][2](spec, out)
+        build_table = _COMMANDS[args.command][2](spec)
+        if out is not None:
+            rows = build_table()
+            emit_csv(rows, out)
+            print(f"wrote {len(rows)} rows to {out}")
     except (ValueError, OSError, RuntimeError) as exc:  # every setting was judged above
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

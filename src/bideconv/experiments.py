@@ -127,11 +127,11 @@ class ExperimentSpec:
         setups = [cell_setup(self, cell) for cell in cells(self)]
         if not self.success_threshold > 0.0:
             raise ValueError("success_threshold must be positive")
-        for cell in map(dict, cells(self)):
+        for cell in cells(self):
             try:
-                derive_seed(self.base_seed, self.kind, *cell.values(), 0)  # as trial_instance does
+                trial_seed(self, cell, 0)
             except TypeError as exc:
-                raise ValueError(f"cell {dict(zip(grids, cell.values()))}: {exc}") from exc
+                raise ValueError(f"cell {dict(zip(grids, (v for _, v in cell)))}: {exc}") from exc
         if self.solver == "polyak" and self.kind != "init":  # init runs no solver
             for m, noise, config in setups:
                 polyak_min_value(config.min_value, corrupted_count(noise.p_fail, m))
@@ -221,11 +221,14 @@ def solve_instance(
     return SOLVER_FUNCTIONS[spec.solver](inst, initial_point(inst, spec.init), config)
 
 
+def trial_seed(spec: ExperimentSpec, cell: Config, trial: int) -> int:
+    """The instance seed of trial ``trial`` of ``cell``."""
+    return derive_seed(spec.base_seed, spec.kind, *(value for _, value in cell), trial)
+
+
 def trial_instance(spec: ExperimentSpec, cell: Config, trial: int) -> ProblemInstance:
-    """The instance of trial ``trial`` of ``cell``, drawn from
-    ``derive_seed(base_seed, kind, *cell values, trial)``."""
-    seed = derive_seed(spec.base_seed, spec.kind, *(value for _, value in cell), trial)
-    return make_instance(spec, cell, seed)
+    """The instance of trial ``trial`` of ``cell``, drawn from its ``trial_seed``."""
+    return make_instance(spec, cell, trial_seed(spec, cell, trial))
 
 
 class TrialRecord(NamedTuple):

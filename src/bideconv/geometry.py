@@ -83,7 +83,9 @@ def _companion_real_roots(a: np.ndarray, b: float, c: np.ndarray, e: float) -> n
 def _dist_squared_many(
     w_stack: np.ndarray, x_stack: np.ndarray, truth: GroundTruth, nu: float
 ) -> np.ndarray:
-    """Squared distance to the solution set for a batch of stacked candidates."""
+    """Squared distance to the solution set, the scale profile
+    ||w - alpha w_bar||^2 + ||x - x_bar / alpha||^2 minimized over alpha, for
+    a batch of stacked candidates."""
     w_bar = truth.w_bar
     x_bar = truth.x_bar
     b = float(truth.w_bar_sqnorm)
@@ -122,13 +124,7 @@ def _dist_squared_many(
 
 
 def dist_to_solution_set(p: SignalPair, sol: SolutionSet) -> float:
-    """Euclidean distance from (w, x) to the nearest in-set factorization.
-
-    The scale profile ||w - alpha w_bar||^2 + ||x - x_bar/alpha||^2 is
-    minimized per sign interval via the stationarity quartic
-    b a^4 - a a^3 + c a - e = 0 (companion-matrix eigenvalues), with interval
-    endpoints always included as candidates.
-    """
+    """Euclidean distance from (w, x) to the nearest in-set factorization."""
     d2 = _dist_squared_many(p.w[None, :], p.x[None, :], sol.truth, sol.nu)
     return float(np.sqrt(d2[0]))
 

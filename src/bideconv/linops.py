@@ -1,27 +1,14 @@
 """Measurement operators for bilinear sensing.
 
 The recovery problem observes a rank-one matrix through m bilinear
-measurements ``y_i = <l_i, w> <r_i, x>``.  This module provides the two
-realizations of the row stacks L and R used throughout the package:
-
-* :class:`DenseOperator` — an explicit m×d matrix.
-* :class:`HadamardSignOperator` — a stack of Hadamard-times-sign blocks
-  ``[H S_1; ...; H S_k]`` whose products run in O(m log n), n the smallest
-  power of two >= ``input_dim``, via the fast Walsh-Hadamard transform.  H
-  is the ±1 Hadamard matrix, so the columns have norm sqrt(m) and
-  (1/m) LᵀL = I, the scale of a Gaussian side.  With all-plus signs it is
-  the deterministic partial-Hadamard construction, with random ones a
-  random-sign stack.
-
-Each side also forms the second moment ``selected_gram(indices)`` of a row
-subset, which spectral initialization needs: the dense side from the
-selected rows, the Hadamard side from per-block row counts without building
-any row.
-
-A :class:`MeasurementOperator` pairs one left and one right side sharing the
-same number of rows.  All operators are immutable and their products are
-pure functions; ``count_matvecs`` offers an opt-in counter of forward and
-transpose products for cost accounting.
+measurements ``y_i = <l_i, w> <r_i, x>``.  A :class:`MeasurementOperator`
+pairs the row stacks L and R, each a :class:`DenseOperator` (an explicit
+m×d matrix) or a :class:`HadamardSignOperator`, whose products run in
+O(m log n) through the fast Walsh-Hadamard transform.  Each side also forms
+the second moment ``selected_gram(indices)`` of a row subset, which spectral
+initialization needs.  All operators are immutable and their products are
+pure functions; ``count_matvecs`` offers an opt-in counter of products for
+cost accounting.
 """
 
 from __future__ import annotations
@@ -174,12 +161,12 @@ class HadamardSignOperator:
     """Stacked Hadamard-sign blocks ``[H S_1; ...; H S_k]``, first ``input_dim`` columns.
 
     ``sign_diagonals`` holds the k diagonal ±1 blocks as a (k, dim) array;
-    ``dim`` must be a power of two and the operator has m = k·dim rows.  The
-    entries are ±1 and the stacked columns are orthogonal with norm sqrt(m).
-    A single all-plus block is exactly the deterministic partial Hadamard
-    matrix.  Products run FWHTs of length n (the smallest power of two
-    >= ``input_dim``) and skip the top stages, which on zero-padded inputs
-    would only add zeros.
+    ``dim`` must be a power of two and the operator has m = k·dim rows.  H is
+    the ±1 Hadamard matrix, so the stacked columns are orthogonal with norm
+    sqrt(m) and (1/m) LᵀL = I, the scale of a Gaussian side.  A single
+    all-plus block is exactly the deterministic partial Hadamard matrix.
+    Products run FWHTs of length n, the smallest power of two >=
+    ``input_dim``.
     """
 
     sign_diagonals: np.ndarray

@@ -11,9 +11,8 @@ the scaled least-absolute-deviation loss
 
     f(w, x) = (1/m) sum_i | <l_i, w> <r_i, x> - y_i |,
 
-whose subgradients are provided here as operator products, so structured
-(fast-transform) sides are not materialized for them.  Its local
-linearization is a dense matrix.
+whose subgradients come from operator products, so a structured
+(fast-transform) side is not materialized for them.
 """
 
 from __future__ import annotations
@@ -75,12 +74,7 @@ class SignalPair:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The planted pair, stored balanced: ``norm(w_bar) == norm(x_bar)``.
-
-    The product magnitude ``norm(w_bar) * norm(x_bar)`` equals the Frobenius
-    norm of the rank-one matrix ``w_bar x_bar^T`` and is the natural scale for
-    error metrics and ball radii.
-    """
+    """The planted pair; ``balanced`` builds one whose factors share a norm."""
 
     w_bar: np.ndarray
     x_bar: np.ndarray
@@ -95,7 +89,7 @@ class GroundTruth:
 
     @cached_property
     def magnitude(self) -> float:
-        """``norm(w_bar x_bar^T)_F``, the size of the planted matrix."""
+        """``norm(w_bar x_bar^T)_F``, the scale of error metrics and ball radii."""
         return float(np.linalg.norm(self.w_bar) * np.linalg.norm(self.x_bar))
 
     @cached_property
@@ -115,9 +109,6 @@ class GroundTruth:
         target = math.sqrt(nw * nx)
         return cls(w_bar=w * (target / nw), x_bar=x * (target / nx))
 
-    def pair(self) -> SignalPair:
-        return SignalPair(w=self.w_bar, x=self.x_bar)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -127,8 +118,9 @@ class NoiseSpec:
     ``sigma``-scaled Gaussian offset, so the failed entries are inconsistent
     with the planted pair but carry no structure of their own.
     ``kind="implant"`` instead overwrites failed measurements with the
-    measurements of a second signal pair (drawn at generation time when not
-    supplied), so the corruption is a consistent signal; it reads no sigma.
+    measurements of a second signal pair, ``implant`` or one drawn at
+    generation time, so the corruption is a consistent signal.  A kind
+    refuses the other kind's parameter.
     """
 
     p_fail: float
@@ -143,6 +135,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian" and not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.kind == "gaussian" and self.implant is not None:
+            raise ValueError("the gaussian model reads no implant pair")
         if self.kind == "implant" and self.sigma != 1.0:
             raise ValueError(f"the implant model reads no sigma, got {self.sigma}")
 
@@ -199,11 +193,7 @@ def corrupted_count(p_fail: float, m: int) -> int:
 
 def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:  # probability zero, but keep the contract airtight
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-    return v / norm
+    return v / np.linalg.norm(v)
 
 
 def pick(table: dict, name: str, what: str):
@@ -284,21 +274,10 @@ def generate_instance(
 
     The random stream is consumed in a fixed order (ground truth, left
     operator, right operator, corrupted index set, corruption values), so the
-    same seed always yields a bit-identical instance.
-
-    Parameters
-    ----------
-    d1, d2, m:
-        Factor dimensions and measurement count.
-    left:
-        ``"gaussian"`` draws both sides i.i.d. standard Gaussian;
-        ``"hadamard"`` makes the left side a deterministic-column structured
-        operator (see :func:`partial_hadamard_left`) with a Gaussian right.
-    noise:
-        Corruption model; defaults to no corruption.
-    magnitude:
-        Frobenius norm of the planted rank-one matrix; factors are balanced,
-        each with norm ``sqrt(magnitude)``.
+    same seed always yields a bit-identical instance.  The right side is
+    Gaussian and ``left`` names a left side in ``LEFT_SIDES``.  The planted
+    factors each have norm ``sqrt(magnitude)``, the Frobenius norm of the
+    planted matrix.  No ``noise`` means no corruption.
     """
     check_instance_shape(d1, d2, m, left)
     check_seed(seed)

@@ -55,13 +55,7 @@ class DirectionMatrices(NamedTuple):
 
 
 def build_direction_matrices(inst: ProblemInstance, selected: np.ndarray) -> DirectionMatrices:
-    """(1/m) sum of l_i l_i^T and r_i r_i^T over the selected rows.
-
-    Each side forms its sum with ``selected_gram``: a dense side as the
-    product of the selected rows, a ±1 Hadamard-sign side from
-    Walsh-transformed counts of the selected indices, building no row and
-    giving the same exact integers.
-    """
+    """(1/m) sum of l_i l_i^T and r_i r_i^T over the selected rows."""
     selected = np.asarray(selected, dtype=np.intp)
     return DirectionMatrices(
         left_moment=inst.op.left.selected_gram(selected) / inst.m,
@@ -77,12 +71,8 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvector(mat: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the smallest eigenvalue of a symmetric matrix.
-
-    The input is symmetrized, (M + M^T)/2, before the dense symmetric
-    eigendecomposition.  The sign is normalized so the first nonzero
-    coordinate is positive.
-    """
+    """Unit eigenvector of the smallest eigenvalue of a symmetric matrix, signed
+    so that its first nonzero coordinate is positive."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {mat.shape}")
@@ -126,11 +116,6 @@ class InitEstimate:
     selected: np.ndarray
     w_dir: np.ndarray
     x_dir: np.ndarray
-
-    @property
-    def magnitude(self) -> float:
-        """|M_hat| = the Frobenius norm of the rank-one initial matrix."""
-        return abs(self.m_hat)
 
 
 def spectral_initialize(inst: ProblemInstance) -> InitEstimate:

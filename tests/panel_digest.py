@@ -16,10 +16,11 @@ so a change meant to leave results alone is checked by running, in each tree,
 
     python3 tests/panel_digest.py --seed 1
 
-and comparing the output.  BLAS is pinned to one thread before NumPy loads,
-as in the tests and the benchmark, because results depend on the thread
-count.  The file name does not match ``test_*.py``, so pytest does not
-collect it.
+and comparing the output.  Run as a script, it pins BLAS to one thread
+before NumPy loads, as the tests and the benchmark do, because results
+depend on the thread count.  The file name does not match ``test_*.py``, so
+pytest does not collect it, but ``tests/test_panel_digest.py`` pins its
+``--seed 1`` lines in tier-1.
 """
 
 from __future__ import annotations
@@ -32,16 +33,18 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ[_var] = "1"
+if __name__ == "__main__":  # imported by a test, it leaves the environment alone
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
@@ -123,18 +126,24 @@ def command_digest(argv: list[str]) -> str:
     return h.hexdigest()
 
 
+def lines(seed: int) -> Iterator[str]:
+    """The output lines at ``--seed seed``, one per digest."""
+    for name in WORKLOADS:
+        yield f"{name}  seed {seed}  {digest(name, seed)}"
+    for command in readme_commands():
+        yield f"readme {command[0]}  {command_digest(command)}"
+    for text in EXTRA_COMMANDS:
+        command = text.split()
+        yield f"extra {command[0]}  {command_digest(command)}"
+    yield f"library prox_linear region  {region_digest()}"
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="benchmark run seed")
     args = parser.parse_args(argv)
-    for name in WORKLOADS:
-        print(f"{name}  seed {args.seed}  {digest(name, args.seed)}", flush=True)
-    for command in readme_commands():
-        print(f"readme {command[0]}  {command_digest(command)}", flush=True)
-    for text in EXTRA_COMMANDS:
-        command = text.split()
-        print(f"extra {command[0]}  {command_digest(command)}", flush=True)
-    print(f"library prox_linear region  {region_digest()}", flush=True)
+    for line in lines(args.seed):
+        print(line, flush=True)
     return 0
 
 

@@ -578,6 +578,32 @@ class TestExperimentCommands:
         digest.update((tmp_path / "table.csv").read_bytes())
         assert digest.hexdigest() == sha256, err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", *TINY, "--solver", "geometric", "--iters", "20"],
+            ["converge", *TINY, "--c", "4,6", "--trials", "2", "--solver", "geometric",
+             "--iters", "20"],
+            ["rip-probe", *TINY, "--trials", "20"],
+        ],
+        ids=["solve", "converge", "rip-probe"],
+    )
+    def test_no_table_is_built_without_out(self, capsys, monkeypatch, argv):
+        # converge used to build and sort its whole trace table only to print
+        # per-cell medians; solve and rip-probe built theirs for nothing
+        code, expected, _ = run(capsys, argv)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("built a table that nothing prints or writes")
+
+        if argv[0] == "converge":  # its printed medians go through result_table
+            grids, _ = experiments.KINDS["convergence"]
+            monkeypatch.setitem(experiments.KINDS, "convergence", (grids, refuse))
+        else:
+            monkeypatch.setattr(cli, "result_table", refuse)
+        assert run(capsys, argv) == (0, expected, "")
+
     def test_csv_bytes_stable_across_invocations(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["phase", *TINY, "--iters", "80", "--trials", "2"]

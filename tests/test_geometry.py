@@ -69,7 +69,8 @@ class TestDistance:
         rng = np.random.default_rng(0)
         truth = random_truth(rng, 4, 6)
         sol = SolutionSet(truth=truth, nu=2.0)
-        assert dist_to_solution_set(truth.pair(), sol) == pytest.approx(0.0, abs=1e-7)
+        p = SignalPair(w=truth.w_bar, x=truth.x_bar)
+        assert dist_to_solution_set(p, sol) == pytest.approx(0.0, abs=1e-7)
 
     def test_zero_at_in_set_rescaling(self):
         rng = np.random.default_rng(1)
@@ -149,7 +150,8 @@ class TestRelativeError:
     def test_zero_at_truth(self):
         rng = np.random.default_rng(2)
         truth = random_truth(rng, 5, 5)
-        assert relative_error(truth.pair(), truth) == pytest.approx(0.0, abs=1e-7)
+        p = SignalPair(w=truth.w_bar, x=truth.x_bar)
+        assert relative_error(p, truth) == pytest.approx(0.0, abs=1e-7)
 
     def test_sign_flip_is_two(self):
         rng = np.random.default_rng(3)

@@ -121,6 +121,12 @@ class TestGeneration:
         with pytest.raises(ValueError, match="reads no sigma"):
             NoiseSpec(0.2, kind="implant", sigma=100.0)
 
+    def test_gaussian_rejects_the_implant_pair_it_never_reads(self):
+        # the pair used to be accepted and dropped: Gaussian offsets were drawn
+        pair = SignalPair(w=np.ones(3), x=np.ones(2))
+        with pytest.raises(ValueError, match="reads no implant pair"):
+            NoiseSpec(0.2, kind="gaussian", implant=pair)
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionError):
             generate_instance(0, 4, 8)
@@ -218,7 +224,7 @@ class TestPatternIdentifiability:
 class TestObjective:
     def test_zero_at_truth_noiseless(self):
         inst = generate_instance(5, 6, 30, seed=13)
-        assert objective(inst, inst.truth.pair()) == 0.0
+        assert objective(inst, SignalPair(w=inst.truth.w_bar, x=inst.truth.x_bar)) == 0.0
 
     def test_scale_ambiguity_alpha_three(self):
         inst = generate_instance(5, 6, 30, seed=13)
@@ -250,7 +256,8 @@ class TestObjective:
 class TestSubgradient:
     def test_zero_at_truth_noiseless(self):
         inst = generate_instance(4, 4, 20, seed=17)
-        grad = objective_and_subgradient(inst, inst.truth.pair())[1]
+        truth = SignalPair(w=inst.truth.w_bar, x=inst.truth.x_bar)
+        grad = objective_and_subgradient(inst, truth)[1]
         np.testing.assert_array_equal(grad, np.zeros(8))
 
     def test_single_measurement_arithmetic(self):
@@ -310,7 +317,8 @@ class TestLinearization:
 
     def test_offset_vanishes_at_truth_noiseless(self):
         inst = generate_instance(4, 4, 12, seed=37)
-        _, y_tilde = linearized_residual_operator(inst, inst.truth.pair())
+        truth = SignalPair(w=inst.truth.w_bar, x=inst.truth.x_bar)
+        _, y_tilde = linearized_residual_operator(inst, truth)
         np.testing.assert_allclose(y_tilde, np.zeros(12), atol=1e-14)
 
     @pytest.mark.parametrize("left", ["gaussian", "hadamard"])

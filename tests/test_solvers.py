@@ -43,7 +43,7 @@ from bideconv.spectral_init import spectral_initialize
 
 
 def truth_pair(inst) -> SignalPair:
-    return inst.truth.pair()
+    return SignalPair(w=inst.truth.w_bar, x=inst.truth.x_bar)
 
 
 def perturbed_start(inst, scale: float, seed: int) -> SignalPair:

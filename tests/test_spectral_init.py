@@ -210,7 +210,7 @@ class TestSpectralInitialize:
         assert np.linalg.norm(est.x0) == pytest.approx(root, rel=1e-12)
         # Frobenius norm of the rank-one initial matrix equals |M_hat|
         assert np.linalg.norm(np.outer(est.w0, est.x0)) == pytest.approx(
-            est.magnitude, rel=1e-12
+            abs(est.m_hat), rel=1e-12
         )
 
     def test_noiseless_quality_monte_carlo(self):
