@@ -29,6 +29,7 @@ from .model import (
     corrupted_count,
     generate_instance,
     is_count,
+    is_integer,
     pick,
 )
 from .solvers import (
@@ -56,10 +57,11 @@ NOISE_KINDS = {"n1": "gaussian", "n2": "implant"}
 def derive_seed(base_seed: int, *parts: int | float | str) -> int:
     """Collapse a base seed plus heterogeneous cell coordinates into one seed.
 
-    The base seed is judged like every part.  Floats contribute their exact
-    bit pattern, so distinct values (including ones that print alike) give
-    independent streams, while the same value always gives the same stream
-    no matter where it sits in a grid.
+    The base seed is judged like every part.  Floats, NumPy's included,
+    contribute their exact float64 bit pattern, so distinct values (including
+    ones that print alike) give independent streams, while the same value
+    always gives the same stream no matter where it sits in a grid.  Integers
+    contribute their value and strings their bytes; any other part is refused.
     """
     entropy: list[int] = []
     for part in (base_seed, *parts):
@@ -67,10 +69,12 @@ def derive_seed(base_seed: int, *parts: int | float | str) -> int:
             raise TypeError("booleans are ambiguous seed material")
         if isinstance(part, str):
             entropy.append(int.from_bytes(part.encode(), "little"))
-        elif isinstance(part, float):
+        elif isinstance(part, (float, np.floating)):
             entropy.append(int(np.float64(part).view(np.uint64)))
-        else:
+        elif is_integer(part):
             entropy.append(int(part))
+        else:
+            raise TypeError(f"{part!r} is no seed material: give an int, float or str")
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -334,7 +338,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Row]:
 
 
 def _format_value(value: int | float | str) -> str:
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return "%.17g" % value
     return str(value)
 

@@ -81,7 +81,7 @@ def fwht(v: np.ndarray) -> np.ndarray:
     back.  Returns a new C-ordered array.
     """
     a = np.array(v, dtype=np.float64, order="C")  # always copies, also promotes ints
-    d = a.shape[-1]
+    d = a.shape[-1] if a.ndim else 0  # a scalar has no axis to transform
     if d < 1 or (d & (d - 1)) != 0:
         raise DimensionError(f"fwht length must be a power of two, got {d}")
     x = a.reshape(-1)

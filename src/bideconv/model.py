@@ -74,7 +74,7 @@ class SignalPair:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The planted pair; ``balanced`` builds one whose factors share a norm."""
+    """The planted pair (w_bar, x_bar)."""
 
     w_bar: np.ndarray
     x_bar: np.ndarray
@@ -96,18 +96,6 @@ class GroundTruth:
     def w_bar_sqnorm(self) -> np.float64:
         """``w_bar @ w_bar``, which every relative-error evaluation needs."""
         return self.w_bar @ self.w_bar
-
-    @classmethod
-    def balanced(cls, w: np.ndarray, x: np.ndarray) -> "GroundTruth":
-        """Rescale an arbitrary nonzero pair so both factors share one norm."""
-        w = _clean_vector(w, "w")
-        x = _clean_vector(x, "x")
-        nw = np.linalg.norm(w)
-        nx = np.linalg.norm(x)
-        if nw == 0.0 or nx == 0.0:
-            raise ValueError("cannot balance a zero factor")
-        target = math.sqrt(nw * nx)
-        return cls(w_bar=w * (target / nw), x_bar=x * (target / nx))
 
 
 @dataclass(frozen=True)
@@ -143,10 +131,6 @@ class NoiseSpec:
     @classmethod
     def gaussian(cls, p_fail: float, sigma: float = 1.0) -> "NoiseSpec":
         return cls(p_fail=p_fail, kind="gaussian", sigma=sigma)
-
-    @classmethod
-    def implanted(cls, p_fail: float, pair: SignalPair | None = None) -> "NoiseSpec":
-        return cls(p_fail=p_fail, kind="implant", implant=pair)
 
 
 @dataclass(frozen=True)

@@ -212,18 +212,18 @@ def _run(
 def _subgradient_iterates(
     inst: ProblemInstance,
     cfg: SolverConfig,
-    rule: Callable[[int, float, np.ndarray], tuple[float, float] | None],
+    rule: Callable[[int, float, float], tuple[float, float]],
     p: SignalPair,
 ) -> Iterates:
-    """Steps along -grad; ``rule(k, f, grad)`` gives iteration k's scale of
-    -grad and the step to record, or None at a stationary point."""
+    """Steps along -grad until grad is zero; ``rule(k, f, ||grad||^2)`` gives
+    iteration k's scale of -grad and the step to record."""
     f, grad = objective_and_subgradient(inst, p)
     yield p, f, 0.0, {}
     for k in itertools.count(1):
-        taken = rule(k, f, grad)
-        if taken is None:
+        gnorm2 = float(grad @ grad)
+        if gnorm2 == 0.0:  # a stationary point
             return
-        scale, step = taken
+        scale, step = rule(k, f, gnorm2)
         try:
             moved = SignalPair(w=p.w - scale * grad[: inst.d1], x=p.x - scale * grad[inst.d1 :])
         except ValueError:  # non-finite entries
@@ -258,10 +258,7 @@ def polyak_subgradient(
     """
     min_value = polyak_min_value(cfg.min_value, inst.outlier_count)
 
-    def rule(k: int, f: float, grad: np.ndarray) -> tuple[float, float] | None:
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            return None
+    def rule(k: int, f: float, gnorm2: float) -> tuple[float, float]:
         gap = max(f - min_value, 0.0)
         return gap / gnorm2, gap / math.sqrt(gnorm2)
 
@@ -277,12 +274,9 @@ def geometric_subgradient(
     (before any projection), independent of the subgradient's magnitude.
     """
 
-    def rule(k: int, f: float, grad: np.ndarray) -> tuple[float, float] | None:
-        gnorm = math.sqrt(grad @ grad)  # what np.linalg.norm computes, without its checks
-        if gnorm == 0.0:
-            return None
+    def rule(k: int, f: float, gnorm2: float) -> tuple[float, float]:
         step = cfg.lambda0 * cfg.decay_q ** (k - 1)
-        return step / gnorm, step
+        return step / math.sqrt(gnorm2), step
 
     return _run(inst, start, cfg, partial(_subgradient_iterates, inst, cfg, rule), budget=2000)
 

@@ -115,6 +115,13 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert f"{cfg}:4: key 'd1' is given twice" in err
 
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d1=4\nd2 4\n", encoding="utf-8")
+        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert f"{cfg}:2: expected key=value, got 'd2 4'" in err
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["solve", "--config", str(tmp_path / "absent.cfg")]
@@ -162,6 +169,20 @@ class TestExitCodes:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", *TINY, "--c", "two"], "expected one integer, got 'two'"),
+            (["solve", *TINY, "--pfail", "abc"], "expected one number, got 'abc'"),
+            (["solve", *TINY, "--noise", "n1,s=1"], "expected sigma=..., got 's=1'"),
+        ],
+        ids=["c-not-an-integer", "pfail-not-a-number", "noise-without-sigma"],
+    )
+    def test_malformed_value_names_the_form_it_expects(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_q_list_is_named_where_only_one_q_runs(self, capsys):
         # converge used to run the first q of the list and exit 0

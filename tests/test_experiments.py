@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bideconv.experiments import (
     run_trial,
     run_trials,
     solve_instance,
+    trial_seed,
 )
 from bideconv.model import corrupted_count, generate_instance
 from bideconv.solvers import SolverConfig
@@ -82,6 +84,26 @@ class TestDeriveSeed:
 
     def test_integer_seeds_keep_their_streams(self):
         assert derive_seed(3, "phase", 8, 0.25, 0) == 12619550142080592898
+
+    def test_numpy_floats_are_seeded_by_their_bits(self):
+        # int() truncated them: np.float32(0.1), np.float32(0.2) and 0 gave one seed
+        tenth, fifth = np.float32(0.1), np.float32(0.2)
+        assert len({derive_seed(0, tenth), derive_seed(0, fifth), derive_seed(0, 0)}) == 3
+        assert derive_seed(0, tenth) == derive_seed(0, float(tenth))
+        assert derive_seed(0, np.float64(0.25)) == derive_seed(0, 0.25)
+
+    def test_numpy_float_cells_draw_distinct_instances(self):
+        spec = small_spec(m_ratios=(4,), p_fails=(np.float32(0.1), np.float32(0.2)), trials=2,
+                          solver="geometric")
+        first, second = cells(spec)
+        assert trial_seed(spec, first, 0) != trial_seed(spec, second, 0)
+
+    def test_rejects_parts_that_are_no_int_float_or_str(self):
+        # int() took a Fraction as its truncation, so 1/2 seeded the stream of 0
+        with pytest.raises(TypeError, match="no seed material"):
+            derive_seed(0, Fraction(1, 2))
+        with pytest.raises(TypeError, match="no seed material"):
+            derive_seed(0, None)
 
 
 class TestExperimentSpec:
@@ -169,6 +191,9 @@ class TestExperimentSpec:
             # NumPy's bool passed the bool checks, and np.True_ drew the cells of c = 1
             pytest.param({"kind": "init", "m_ratios": (np.True_,)},
                          "'m_ratios': .*True.*ambiguous seed material", id="c-numpy-bool"),
+            # a Fraction drew the cells of its truncation, sigma = 1
+            pytest.param({"sigmas": (Fraction(3, 2),)}, "'sigmas': Fraction.*no seed material",
+                         id="sigma-fraction"),
         ],
     )
     def test_rejection_names_the_setting(self, overrides, message):
@@ -519,6 +544,12 @@ class TestEmitCsv:
         values = [float(line.split(",")[-1]) for line in lines[1:]]
         assert values == [1.0 / 3.0, math.pi]
         assert "p_fail=0.30000000000000004" in lines[1]
+
+    def test_numpy_floats_carry_17_digits(self, tmp_path):
+        # str() wrote np.float32(0.1), which is 0.10000000149..., as 0.1
+        path = tmp_path / "out.csv"
+        emit_csv(result_table([((("p_fail", np.float32(0.1)),), "err", 1.0)]), path)
+        assert "p_fail=0.10000000149011612,err," in path.read_text(encoding="utf-8")
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

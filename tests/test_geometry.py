@@ -23,7 +23,11 @@ from oracles import grid_ball_projection, grid_dist_to_solution_set, outer_produ
 
 
 def random_truth(rng: np.random.Generator, d1: int, d2: int) -> GroundTruth:
-    return GroundTruth.balanced(rng.standard_normal(d1), rng.standard_normal(d2))
+    """A Gaussian pair rescaled so both factors share one norm."""
+    w, x = rng.standard_normal(d1), rng.standard_normal(d2)
+    nw, nx = np.linalg.norm(w), np.linalg.norm(x)
+    target = math.sqrt(nw * nx)
+    return GroundTruth(w_bar=w * (target / nw), x_bar=x * (target / nx))
 
 
 class TestProjection:
@@ -241,14 +245,16 @@ class TestLandscapeProbes:
             ({"samples": 3, "seed": True}, "seed must be an integer, got True"),
             ({"samples": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"samples": 3, "seed": -1}, "seed must be non-negative, got -1"),
+            ({"samples": 3, "outlier_mask": np.zeros(31, dtype=bool)},
+             "outlier mask length must equal the measurement count"),
         ],
         ids=["samples-float", "samples-bool", "samples-0", "seed-bool", "seed-float",
-             "seed-negative"],
+             "seed-negative", "mask-length"],
     )
     def test_probe_rejects_a_setting_by_name(self, settings, message):
         inst = generate_instance(4, 4, 32, seed=1)
         with pytest.raises(ValueError, match=message):
-            estimate_rip_constants(inst.op, inst.outlier_mask, **settings)
+            estimate_rip_constants(inst.op, **{"outlier_mask": inst.outlier_mask} | settings)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):

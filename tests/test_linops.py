@@ -79,6 +79,11 @@ class TestFwht:
         with pytest.raises(DimensionError):
             fwht(np.ones(d) if d else np.ones((2, 0)))
 
+    def test_rejects_a_scalar(self):
+        # a 0-d array raised IndexError on its missing last axis
+        with pytest.raises(DimensionError):
+            fwht(np.float64(1.0))
+
     @given(
         st.integers(min_value=0, max_value=5),
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -119,6 +124,10 @@ class TestDenseOperator:
         a[0, 1] = np.nan
         with pytest.raises(ValueError):
             DenseOperator(entries=a)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionError, match="m×d matrix"):
+            DenseOperator(entries=np.ones(3))
 
     def test_dimension_mismatch(self):
         op = DenseOperator(entries=np.ones((4, 3)))
@@ -244,6 +253,10 @@ class TestHadamardSignOperator:
     def test_rejects_bad_signs(self):
         with pytest.raises(ValueError):
             HadamardSignOperator(sign_diagonals=np.array([[1.0, 0.5]]), input_dim=2)
+
+    def test_rejects_a_vector_of_signs(self):
+        with pytest.raises(DimensionError, match="block_count, dim"):
+            HadamardSignOperator(sign_diagonals=np.ones(4), input_dim=2)
 
     def test_rejects_non_power_of_two_block(self):
         with pytest.raises(DimensionError):

@@ -102,13 +102,14 @@ class TestGeneration:
 
     def test_implant_noise_uses_second_pair(self):
         pair = SignalPair(w=np.array([1.0, 0.0, 0.0]), x=np.array([0.0, 1.0]))
-        inst = generate_instance(3, 2, 30, noise=NoiseSpec.implanted(0.2, pair), seed=11)
+        noise = NoiseSpec(0.2, kind="implant", implant=pair)
+        inst = generate_instance(3, 2, 30, noise=noise, seed=11)
         implanted = inst.op.bilinear_forward(pair.w, pair.x)
         np.testing.assert_array_equal(inst.y[inst.outlier_mask], implanted[inst.outlier_mask])
 
     def test_implant_noise_default_pair_is_seeded(self):
-        a = generate_instance(3, 2, 30, noise=NoiseSpec.implanted(0.2), seed=11)
-        b = generate_instance(3, 2, 30, noise=NoiseSpec.implanted(0.2), seed=11)
+        a = generate_instance(3, 2, 30, noise=NoiseSpec(0.2, kind="implant"), seed=11)
+        b = generate_instance(3, 2, 30, noise=NoiseSpec(0.2, kind="implant"), seed=11)
         np.testing.assert_array_equal(a.y, b.y)
         clean = a.op.bilinear_forward(a.truth.w_bar, a.truth.x_bar)
         assert not np.array_equal(a.y[a.outlier_mask], clean[a.outlier_mask])
@@ -126,6 +127,32 @@ class TestGeneration:
         pair = SignalPair(w=np.ones(3), x=np.ones(2))
         with pytest.raises(ValueError, match="reads no implant pair"):
             NoiseSpec(0.2, kind="gaussian", implant=pair)
+
+    def test_rejects_an_unknown_noise_kind(self):
+        with pytest.raises(ValueError, match="unknown noise kind 'laplace'"):
+            NoiseSpec(0.2, kind="laplace")
+
+    def test_rejects_a_magnitude_that_is_not_positive(self):
+        with pytest.raises(ValueError, match="magnitude must be positive, got 0.0"):
+            generate_instance(4, 4, 32, magnitude=0.0)
+
+    def test_rejects_an_implant_pair_of_other_dimensions(self):
+        pair = SignalPair(w=np.ones(2), x=np.ones(2))
+        with pytest.raises(DimensionError, match="implanted pair dimensions"):
+            generate_instance(3, 2, 30, noise=NoiseSpec(0.2, kind="implant", implant=pair))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"y": [1.0, 2.0]}, "one entry per measurement"),
+            ({"y": [1.0], "w_bar": [1.0, 1.0]}, "ground-truth dimensions"),
+            ({"y": [1.0], "x_bar": [1.0, 1.0]}, "ground-truth dimensions"),
+        ],
+        ids=["y", "w_bar", "x_bar"],
+    )
+    def test_instance_rejects_a_size_the_operator_does_not_have(self, sizes, message):
+        with pytest.raises(DimensionError, match=message):
+            tiny_instance([[1.0]], [[1.0]], **sizes)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionError):
@@ -390,11 +417,14 @@ class TestSignalTypes:
         with pytest.raises(ValueError):
             SignalPair(w=np.array([np.inf]), x=np.array([1.0]))
 
-    def test_ground_truth_balanced_constructor(self):
-        t = GroundTruth.balanced(np.array([4.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        assert np.linalg.norm(t.w_bar) == pytest.approx(2.0, rel=1e-12)
-        assert np.linalg.norm(t.x_bar) == pytest.approx(2.0, rel=1e-12)
-        assert t.magnitude == pytest.approx(4.0, rel=1e-12)
+    @pytest.mark.parametrize("w", [np.ones((2, 2)), np.ones(0)], ids=["2-d", "empty"])
+    def test_rejects_a_vector_that_is_not_nonempty_1d(self, w):
+        with pytest.raises(DimensionError, match="w must be a nonempty 1-D vector"):
+            SignalPair(w=w, x=np.ones(2))
+
+    def test_from_stacked_rejects_a_split_at_an_end(self):
+        with pytest.raises(DimensionError, match=r"cannot split vector of shape \(3,\) at 0"):
+            SignalPair.from_stacked(np.ones(3), 0)
 
     def test_ground_truth_rejects_zero_factor(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bideconv.geometry import relative_error
-from bideconv.linops import DenseOperator, HadamardSignOperator, MeasurementOperator
+from bideconv.linops import DenseOperator, DimensionError, HadamardSignOperator, MeasurementOperator
 from bideconv.model import GroundTruth, NoiseSpec, ProblemInstance, SignalPair, generate_instance
 from bideconv.spectral_init import (
     DegenerateFitError,
@@ -31,6 +31,10 @@ class TestSelectInliers:
     def test_even_length_uses_lower_median(self):
         # lower median of [0, 0, 5, 5] is 0, so only the zeros survive
         np.testing.assert_array_equal(select_inliers(np.array([0.0, 0.0, 5.0, 5.0])), [0, 1])
+
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(DimensionError, match="nonempty vector"):
+            select_inliers(np.ones(0))
 
     def test_magnitudes_not_values(self):
         np.testing.assert_array_equal(select_inliers(np.array([-10.0, 1.0, -1.0])), [1, 2])
@@ -73,6 +77,10 @@ class TestMinEigenvector:
         assert np.linalg.norm(mat @ v - lam * v) <= 1e-8
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(DimensionError, match="must be square"):
+            min_eigenvector(np.ones((2, 3)))
+
     def test_symmetrizes_input(self):
         mat = np.array([[2.0, 1.0], [0.0, 1.0]])  # asymmetric; acts like [[2, .5], [.5, 1]]
         v = min_eigenvector(mat)
@@ -92,6 +100,10 @@ class TestLadScalarFit:
         # the middle term has a zero product and is ignored entirely, leaving
         # ratios {1, 9} with equal weight; the tie resolves to the lower kink
         assert lad_scalar_fit(np.array([1.0, 5.0, 9.0]), np.array([1.0, 0.0, 1.0])) == 1.0
+
+    def test_rejects_vectors_of_unequal_length(self):
+        with pytest.raises(DimensionError, match="equal-length vectors"):
+            lad_scalar_fit(np.ones(3), np.ones(2))
 
     def test_all_zero_products_error(self):
         with pytest.raises(DegenerateFitError):
@@ -199,6 +211,10 @@ class TestSpectralInitialize:
         assert est.m_hat.hex() == m_hat
         assert hashlib.sha256(est.w0.tobytes()).hexdigest()[:16] == w0_sha
         assert hashlib.sha256(est.x0.tobytes()).hexdigest()[:16] == x0_sha
+
+    def test_rejects_a_single_measurement(self):
+        with pytest.raises(DimensionError, match="at least two measurements"):
+            spectral_initialize(generate_instance(2, 2, 1, seed=0))
 
     def test_invariants(self):
         inst = generate_instance(8, 6, 112, noise=NoiseSpec.gaussian(0.25), seed=11)
