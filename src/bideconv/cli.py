@@ -1,17 +1,16 @@
 """Command-line front end for single solves and the Monte-Carlo experiments.
 
-Each setting is one row of ``_SETTINGS``: its key is both the flag
-(``--key``) and the config-file key, and its parse turns the text into
-``ExperimentSpec`` / ``SolverConfig`` fields.  Each command takes only the
-settings it reads (its ``_COMMANDS`` row), so any other flag or config-file
-key is a configuration error, never silently ignored, as is a solver setting
-the chosen solver never reads (``_SOLVER_ONLY``).  Settings resolve in
-three layers: the dataclass defaults (plus ``_COMMAND_DEFAULTS``), then a
-flat ``key=value`` config file (``--config``), then explicit command-line
-flags, later layers winning.  An unset ``--iters`` runs the solver's own
-budget, and no run stops on a stalled objective.  Exit codes: 0 success, 2
-configuration error (every setting is judged before the first trial), 1
-runtime failure (whatever a command raises after that).
+Each setting is one row of ``_SETTINGS``: its key is the flag (``--key``),
+and its parse turns the text into ``ExperimentSpec`` / ``SolverConfig``
+fields.  Each command takes only the settings it reads (its ``_COMMANDS``
+row), so any other flag is a configuration error, never silently ignored, as
+is a solver setting the chosen solver never reads (``_SOLVER_ONLY``).
+Settings resolve in two layers: the dataclass defaults (plus
+``_COMMAND_DEFAULTS``), then the flags given, which win.  An unset
+``--iters`` runs the solver's own budget, and no run stops on a stalled
+objective.  Exit codes: 0 success, 2 configuration error (every setting is
+judged before the first trial), 1 runtime failure (whatever a command raises
+after that).
 """
 
 from __future__ import annotations
@@ -117,33 +116,10 @@ _GRID_NAMES = {"m_ratios": "c", "p_fails": "pfail", "sigmas": "noise sigma", "qs
 _SOLVER_ONLY = {"q": "geometric", "lambda": "geometric", "beta": "proxlinear"}
 
 
-def read_config_file(path: str, command: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _READS[command]:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
-                if key in values:
-                    raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
-                values[key] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
 def _resolve(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
-    """The command's spec and CSV path: flags over file values over defaults."""
-    texts = read_config_file(args.config, args.command) if args.config else {}
+    """The command's spec and CSV path: the flags given over the defaults."""
     flags = vars(args)
-    texts.update((key, flags[key]) for key in _READS[args.command] if flags[key] is not None)
+    texts = {key: flags[key] for key in _READS[args.command] if flags[key] is not None}
     values: dict[str, Any] = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     for key, text in texts.items():
         values.update(_SETTINGS[key][1](text))
@@ -253,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, _, _) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
-        command_parser.add_argument("--config", help="flat key=value settings file")
         for key in _READS[command]:
             command_parser.add_argument(f"--{key}", help=_SETTINGS[key][0])
     return parser

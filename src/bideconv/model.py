@@ -106,15 +106,13 @@ class NoiseSpec:
     ``sigma``-scaled Gaussian offset, so the failed entries are inconsistent
     with the planted pair but carry no structure of their own.
     ``kind="implant"`` instead overwrites failed measurements with the
-    measurements of a second signal pair, ``implant`` or one drawn at
-    generation time, so the corruption is a consistent signal.  A kind
-    refuses the other kind's parameter.
+    measurements of a second signal pair drawn at generation time, so the
+    corruption is a consistent signal.  The implant kind refuses a sigma.
     """
 
     p_fail: float
     kind: str = "gaussian"
     sigma: float = 1.0
-    implant: SignalPair | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_fail < 0.5:
@@ -123,8 +121,6 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian" and not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.kind == "gaussian" and self.implant is not None:
-            raise ValueError("the gaussian model reads no implant pair")
         if self.kind == "implant" and self.sigma != 1.0:
             raise ValueError(f"the implant model reads no sigma, got {self.sigma}")
 
@@ -289,12 +285,8 @@ def generate_instance(
         if noise.kind == "gaussian":
             y[mask] += noise.sigma * rng.standard_normal(n_bad)
         else:
-            pair = noise.implant
-            if pair is None:
-                pair = SignalPair(w=root * _unit_sphere(rng, d1), x=root * _unit_sphere(rng, d2))
-            if pair.d1 != d1 or pair.d2 != d2:
-                raise DimensionError("implanted pair dimensions do not match the instance")
-            y[mask] = op.bilinear_forward(pair.w, pair.x)[mask]
+            w, x = root * _unit_sphere(rng, d1), root * _unit_sphere(rng, d2)
+            y[mask] = op.bilinear_forward(w, x)[mask]
 
     return ProblemInstance(op=op, y=y, truth=truth, outlier_mask=mask, seed=seed)
 

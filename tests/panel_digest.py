@@ -62,7 +62,9 @@ INSTANCES = 6
 # solves on a Hadamard left side, the second at n = d1 + d2 = 128, where most
 # Newton matrices come from the rows that enter or leave the active set, and a
 # noiseless Polyak phase grid, the one line that runs Polyak's value-gap steps
-# past a start
+# past a start, a geometric solve on a Hadamard side whose d1 = 12 is padded
+# to n = 16 before each transform, and a landscape probe at d1 = 1, where no
+# rank-2 direction exists and the probe draws rank-1 ones
 EXTRA_COMMANDS = [
     "converge --d1 10 --d2 10 --c 4,6 --pfail 0.1 --trials 3 --solver geometric --q 0.95"
     " --iters 300 --seed 2",
@@ -73,6 +75,9 @@ EXTRA_COMMANDS = [
     "solve --d1 16 --d2 16 --c 8 --pfail 0.1 --left hadamard --solver proxlinear --seed 2",
     "solve --d1 64 --d2 64 --c 8 --pfail 0.05 --left hadamard --solver proxlinear --seed 700",
     "phase --d1 10 --d2 10 --c 4,6 --pfail 0 --trials 2 --solver polyak --iters 200 --seed 5",
+    "solve --d1 12 --d2 12 --c 8 --pfail 0.05 --left hadamard --solver geometric --iters 300"
+    " --seed 3",
+    "rip-probe --d1 1 --d2 6 --c 4 --pfail 0.1 --trials 50 --seed 2",
 ]
 
 

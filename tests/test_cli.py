@@ -1,5 +1,5 @@
-"""End-to-end CLI tests through ``main(argv)``: argument plumbing, the
-config-file layer, exit codes, and CSV side effects."""
+"""End-to-end CLI tests through ``main(argv)``: argument plumbing, exit
+codes, and CSV side effects."""
 
 import hashlib
 
@@ -78,97 +78,56 @@ class TestSolve:
         assert "min_value" in err
 
 
-class TestConfigFile:
-    def test_file_supplies_settings(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# small solve\nd1=5\nd2=5\nc=4\nseed=3\niters=40\n", encoding="utf-8"
-        )
-        code, out, _ = run(capsys, ["solve", "--config", str(cfg)])
-        assert code == 0
-        assert "final relative error" in out
-
-    def test_flags_override_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("d1=5\nd2=5\nc=4\nseed=3\nsolver=bogus\n", encoding="utf-8")
-        code_bad, _, err = run(capsys, ["solve", "--config", str(cfg)])
-        assert code_bad == 2
-        assert "solver" in err
-        code_good, _, _ = run(
-            capsys,
-            ["solve", "--config", str(cfg), "--solver", "polyak", "--iters", "40"],
-        )
-        assert code_good == 0
-
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("dims=5\n", encoding="utf-8")
-        code, _, err = run(capsys, ["solve", "--config", str(cfg)])
-        assert code == 2
-        assert "unknown key" in err
-
-    def test_repeated_key_rejected(self, capsys, tmp_path):
-        # the later value used to win silently
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("d1=4\nd2=4\nc=4\nd1=5\n", encoding="utf-8")
-        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
-        assert (code, out) == (2, "")
-        assert f"{cfg}:4: key 'd1' is given twice" in err
-
-    def test_line_without_equals_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("d1=4\nd2 4\n", encoding="utf-8")
-        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
-        assert (code, out) == (2, "")
-        assert f"{cfg}:2: expected key=value, got 'd2 4'" in err
-
-    def test_missing_file_rejected(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, ["solve", "--config", str(tmp_path / "absent.cfg")]
-        )
-        assert code == 2
+# each argv that exits 2 with the fragment of its own guard's message
+CONFIGURATION_ERRORS = [
+    (["solve", "--solver", "newton"], "unknown solver 'newton'"),
+    (["solve", "--noise", "n3"], "noise model must be n1 or n2, got 'n3'"),
+    (["solve", "--noise", "n2,sigma=1"], "the implant model takes no sigma"),
+    (["solve", "--pfail", "0.75", "--d1", "4", "--d2", "4"], "p_fail must lie in [0, 1/2)"),
+    (["solve", "--c", "two"], "expected one integer, got 'two'"),
+    (["phase", "--trials", "0", "--d1", "4", "--d2", "4"], "trials must be an integer >= 1"),
+    (["solve", "--d1", "5,6"], "expected one integer, got '5,6'"),
+    (["solve", "--nu", "2"], "unrecognized arguments: --nu"),
+    (["solve", "--d1", "4", "--d2", "4", "--c", "4", "--seed", "-1"],
+     "the base seed must be non-negative"),
+    # commands that run one cell take one value of each grid they read
+    (["solve", *TINY, "--c", "4,8"], "solve takes one value of c"),
+    (["solve", *TINY, "--solver", "geometric", "--pfail", "0.1,0.3"],
+     "solve takes one value of pfail"),
+    (["solve", *TINY, "--noise", "n1,sigma=1,10"], "solve takes one value of noise sigma"),
+    (["solve", *TINY, "--q", "0.9,0.95"], "solve takes one value of q"),
+    (["rip-probe", *TINY, "--c", "4,8"], "rip-probe takes one value of c"),
+    (["rip-probe", *TINY, "--pfail", "0.1,0.3"], "rip-probe takes one value of pfail"),
+    (["rip-probe", *TINY, "--noise", "n1,sigma=1,10"],
+     "rip-probe takes one value of noise sigma"),
+    (["sweep-q", *TINY, "--pfail", "0.1,0.3"], "sweep-q takes one value of pfail"),
+    (["sweep-q", *TINY, "--noise", "n1,sigma=1,10"], "sweep-q takes one value of noise sigma"),
+    # only sweep-q fans out over q
+    (["converge", *TINY, "--q", "0.5,0.95"], "converge takes one value of q"),
+    (["phase", *TINY, "--q", "0.5,0.95"], "phase takes one value of q"),
+    (["init", *TINY, "--q", "0.5,0.95"], "unrecognized arguments: --q"),
+    (["rip-probe", *TINY, "--q", "0.5,0.95"], "unrecognized arguments: --q"),
+    # an infinite step exited 1 as a diverged run, and an infinite
+    # weight exited 0 after every LAD-prox solve ended with a NaN gap
+    (["solve", "--d1", "4", "--d2", "4", "--c", "4", "--solver", "geometric",
+      "--lambda", "inf", "--iters", "3"], "lambda0 must be positive and finite, got inf"),
+    (["solve", "--d1", "4", "--d2", "4", "--c", "4", "--solver", "proxlinear",
+      "--beta", "inf"], "prox_beta must be positive and finite, got inf"),
+    # settings come from flags alone
+    (["solve", "--config", "x.cfg"], "unrecognized arguments: --config"),
+]
 
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["solve", "--solver", "newton"],
-            ["solve", "--noise", "n3"],
-            ["solve", "--noise", "n2,sigma=1"],
-            ["solve", "--pfail", "0.75", "--d1", "4", "--d2", "4"],
-            ["solve", "--c", "two"],
-            ["phase", "--trials", "0", "--d1", "4", "--d2", "4"],
-            ["solve", "--d1", "5,6"],
-            ["solve", "--nu", "2"],
-            ["solve", "--d1", "4", "--d2", "4", "--c", "4", "--seed", "-1"],
-            # commands that run one cell take one value of each grid they read
-            ["solve", *TINY, "--c", "4,8"],
-            ["solve", *TINY, "--solver", "geometric", "--pfail", "0.1,0.3"],
-            ["solve", *TINY, "--noise", "n1,sigma=1,10"],
-            ["solve", *TINY, "--q", "0.9,0.95"],
-            ["rip-probe", *TINY, "--c", "4,8"],
-            ["rip-probe", *TINY, "--pfail", "0.1,0.3"],
-            ["rip-probe", *TINY, "--noise", "n1,sigma=1,10"],
-            ["sweep-q", *TINY, "--pfail", "0.1,0.3"],
-            ["sweep-q", *TINY, "--noise", "n1,sigma=1,10"],
-            # only sweep-q fans out over q
-            ["converge", *TINY, "--q", "0.5,0.95"],
-            ["phase", *TINY, "--q", "0.5,0.95"],
-            ["init", *TINY, "--q", "0.5,0.95"],
-            ["rip-probe", *TINY, "--q", "0.5,0.95"],
-            # an infinite step exited 1 as a diverged run, and an infinite
-            # weight exited 0 after every LAD-prox solve ended with a NaN gap
-            ["solve", "--d1", "4", "--d2", "4", "--c", "4", "--solver", "geometric",
-             "--lambda", "inf", "--iters", "3"],
-            ["solve", "--d1", "4", "--d2", "4", "--c", "4", "--solver", "proxlinear",
-             "--beta", "inf"],
-        ],
+        "argv, message",
+        CONFIGURATION_ERRORS,
+        ids=[f"argv{i}" for i in range(len(CONFIGURATION_ERRORS))],
     )
-    def test_config_errors_exit_2(self, capsys, argv):
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert err != ""
+    def test_config_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -225,13 +184,6 @@ class TestExitCodes:
         for setting in settings:
             assert setting in err
 
-    def test_solver_setting_from_a_config_file_is_judged_too(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver=polyak\nbeta=2\n", encoding="utf-8")
-        code, out, err = run(capsys, ["solve", *TINY, "--config", str(cfg), "--iters", "3"])
-        assert (code, out) == (2, "")
-        assert "solver 'polyak' reads no beta" in err
-
     def test_bad_cell_is_refused_before_the_first_trial(self, capsys, monkeypatch):
         # the p_fail 0.1 cell comes first; the 0.6 cell used to fail only after it ran
         solves = []
@@ -284,7 +236,7 @@ class TestExitCodes:
         assert solves == []
 
     def test_polyak_refusal_names_a_remedy_the_command_line_has(self, capsys):
-        # no flag or config key sets min_value, so the refusal must also name
+        # no flag sets min_value, so the refusal must also name
         # the solvers that need none
         argv = ["phase", "--d1", "8", "--d2", "8", "--c", "4", "--pfail", "0.25", "--trials",
                 "1"]
@@ -319,21 +271,6 @@ class TestExitCodes:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert "runtime failure" in err and "not positive definite" in err
-
-    def test_config_key_the_command_never_reads_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("d1=5\nd2=5\nc=4\nseed=3\niters=40\ntrials=7\n", encoding="utf-8")
-        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
-        assert (code, out) == (2, "")
-        assert "unknown key 'trials' for solve" in err
-
-    def test_config_file_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
-        # the decode error used to reach stderr without the path
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"\xff\xfe=1\n")
-        code, out, err = run(capsys, ["solve", "--config", str(cfg)])
-        assert (code, out) == (2, "")
-        assert f"cannot read config file {cfg}" in err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["render"]) == 2
@@ -393,6 +330,18 @@ class TestExitCodes:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_help_lists_exactly_the_settings_the_command_reads(self, command):
+        # a command's --help is the one list of the settings it takes
+        [subparsers] = [
+            action for action in cli.build_parser()._actions if action.dest == "command"
+        ]
+        listed = {
+            option for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        }
+        assert listed == {"-h", "--help", *(f"--{key}" for key in cli._READS[command])}
 
 
 class TestExperimentCommands:

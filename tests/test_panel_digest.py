@@ -24,6 +24,8 @@ SEED_1 = [
     "extra solve  624e2cb6797a5417778a7ec1a5ca11a4a0a6cb3470bbcf611a30af32f55cb95d",
     "extra solve  30f70868e7e9e224b24f2fb4c733ec1f06ac926bfbb1e09c8f8fada7748966a3",
     "extra phase  620612b3b3ab67581973d2a906de60b9e8007dc09636cacc42236320e190d7b9",
+    "extra solve  83eb2ffcd294830c3d925e05aaa8de376e488823c88821261094e0e1f4016b9a",
+    "extra rip-probe  0ee704a62908c0a1378e1384a4a066988cf7c1f8f6485873a345d80bc07aef1f",
     "library prox_linear region  fb3d3ab8b305332a28bb26610aae881ed93001453c99ea0c7b7740d89fc184fc",
 ]
 
